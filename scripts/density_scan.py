@@ -14,6 +14,7 @@ import argparse
 from collections import Counter
 from fractions import Fraction
 
+from cyclofact.cli import write_scan_csv
 from cyclofact.elasticity import elasticity_scan
 from cyclofact.rationals import format_rat, parse_rat
 from cyclofact.semiring import RationalBase
@@ -42,14 +43,7 @@ def main() -> None:
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("value_num,value_den,min_len,max_len,elasticity\n")
-            for row in scan.rows:
-                handle.write(
-                    f"{row.value.numerator},{row.value.denominator},"
-                    f"{row.min_len},{row.max_len},{format_rat(row.elasticity)}\n"
-                )
-            handle.write(f"# manifest: {'complete' if scan.complete else 'partial'} "
-                         f"rows={len(scan.rows)}\n")
+            write_scan_csv(scan, handle)
         print(f"wrote {args.out}")
 
 

@@ -4,8 +4,6 @@ Exit codes: 0 success, 1 domain or usage error (machine-readable JSON on
 stderr), 2 budget exhaustion.  Every exact rational crosses the boundary as
 a "num/den" string -- never a float -- and polynomials as [degree, coeff]
 pair lists sorted by degree, so emitted documents re-parse losslessly.
-Identical invocations produce byte-identical output regardless of the
-worker-thread count.
 """
 
 from __future__ import annotations
@@ -65,15 +63,12 @@ SUBCOMMANDS = (
 
 @dataclass
 class RunConfig:
-    """Validated invocation: subcommand, base, budgets and output routing."""
+    """Validated invocation: subcommand, budgets and output routing."""
 
     subcommand: str
-    q: Optional[Fraction] = None
     oracle_cap: int = DEFAULT_ORACLE_CAP
     scan_cap: int = DEFAULT_SCAN_CAP
-    output: str = "json"
     out_path: Optional[str] = None
-    threads: int = 1
 
 
 class CliError(Exception):
@@ -151,7 +146,6 @@ def build_parser() -> _Parser:
     p.add_argument("--bound", type=_rational, required=True, help="enumerate elements up to this value")
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.add_argument("--oracle-cap", type=_positive_int, help="element discovery budget")
-    p.add_argument("--threads", type=_positive_int, default=1)
 
     p = sub.add_parser("omega-interval")
     p.add_argument("--q", type=_rational, required=True, help="rational in (1, 2)")
@@ -230,11 +224,7 @@ def _cmd_lengths(args, config: RunConfig) -> dict:
     }
     if stats.length_set is not None:
         doc["length_set"] = list(stats.length_set)
-    if not base.is_integer:
-        witness = member_witness(base, args.value)
-        doc["min_factorization"] = _poly_pairs(witness)
-    else:
-        doc["min_factorization"] = [[0, args.value.numerator]]
+    doc["min_factorization"] = _poly_pairs(stats.min_factorization)
     return doc
 
 
@@ -256,7 +246,8 @@ def _cmd_construct_elasticity(args, config: RunConfig) -> dict:
     }
 
 
-def _write_scan_csv(scan, stream: TextIO) -> None:
+def write_scan_csv(scan, stream: TextIO) -> None:
+    """Write an elasticity scan as CSV rows followed by its manifest row."""
     stream.write("value_num,value_den,min_len,max_len,elasticity\n")
     for row in scan.rows:
         stream.write(
@@ -271,12 +262,12 @@ def _cmd_elasticity_scan(args, config: RunConfig) -> None:
     base = _base_for(args.q)
     if args.bound < 0:
         raise CliError(f"--bound: expected a nonnegative rational, got {format_rat(args.bound)}")
-    scan = elasticity_scan(base, args.bound, budget=config.oracle_cap, threads=config.threads)
+    scan = elasticity_scan(base, args.bound, budget=config.oracle_cap)
     if config.out_path:
         with open(config.out_path, "w", encoding="utf-8") as handle:
-            _write_scan_csv(scan, handle)
+            write_scan_csv(scan, handle)
     else:
-        _write_scan_csv(scan, sys.stdout)
+        write_scan_csv(scan, sys.stdout)
 
 
 def _cmd_omega_interval(args) -> dict:
@@ -354,11 +345,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         config = RunConfig(
             subcommand=args.subcommand,
-            q=getattr(args, "q", None),
             oracle_cap=getattr(args, "oracle_cap", None) or _default_oracle_cap(),
             scan_cap=getattr(args, "scan_cap", DEFAULT_SCAN_CAP),
             out_path=getattr(args, "out", None),
-            threads=getattr(args, "threads", 1),
         )
         doc = run(config, args)
     except (OracleBudgetExceeded, ScanCapExceeded) as exc:

@@ -24,12 +24,14 @@ explicit.  The residue-window selection over pure powers (geometrically
 spaced indices sharing a residue class) is retained as
 ``residue_window_scan`` for inspection; its shift counts are astronomically
 large whenever single powers fail, so certificates never route through it.
+
+Density scans need no search: each element is read off its unique digit
+string with all digits below a, its up normal form.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -38,6 +40,8 @@ from .algebraic import AlgebraicNumber, power_coordinates
 from .minimal_pair import MinimalPair, minimal_pair
 from .polynomials import NatPoly, RatPoly
 from .semiring import (
+    Budget,
+    OracleBudgetExceeded,
     RationalBase,
     down_normal_form,
     length_stats,
@@ -149,39 +153,24 @@ class FormulaResult:
     decomposed_exponents: tuple[int, ...]
 
 
-class _NodeBudget:
-    __slots__ = ("left",)
-
-    def __init__(self, cap: int):
-        self.left = cap
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
-
-
 def _decomposes(
     alpha: AlgebraicNumber,
     coords: Sequence[tuple[Fraction, ...]],
     k: int,
-    budget: _NodeBudget,
-) -> Optional[bool]:
+    budget: Budget,
+) -> bool:
     """Does root^k equal a nonnegative-integer combination of lower powers?
 
     Searches coefficients for degrees k-1 down to n (depth-first, residual
     kept as exact power-basis coordinates, pruned by sign), then demands the
     remaining residual be a nonnegative integer vector, i.e. a combination
-    of 1..root^(n-1).  Returns None when the node budget runs out.
+    of 1..root^(n-1).  Each search node costs one unit of the budget.
     """
     n = len(coords[0])
     uppers = list(range(k - 1, n - 1, -1))
-    exhausted = False
 
     def rec(idx: int, residual: tuple[Fraction, ...]) -> bool:
-        nonlocal exhausted
-        if not budget.spend():
-            exhausted = True
-            return False
+        budget.spend()
         if idx == len(uppers):
             return all(c >= 0 and c.denominator == 1 for c in residual)
         i = uppers[idx]
@@ -190,16 +179,11 @@ def _decomposes(
         while True:
             if rec(idx + 1, current):
                 return True
-            if exhausted:
-                return False
             current = tuple(r - s for r, s in zip(current, step))
             if alpha.sign_of_coords(current) < 0:
                 return False
 
-    found = rec(0, coords[k])
-    if exhausted and not found:
-        return None
-    return found
+    return rec(0, coords[k])
 
 
 def elasticity_formula(
@@ -238,12 +222,13 @@ def elasticity_formula(
             (),
         )
     coords = power_coordinates(minpoly, atom_budget)
-    budget = _NodeBudget(node_budget)
+    budget = Budget(node_budget)
     atoms = list(range(n))
     decomposed: list[int] = []
     for k in range(n, atom_budget + 1):
-        verdict = _decomposes(alpha, coords, k, budget)
-        if verdict is None:
+        try:
+            verdict = _decomposes(alpha, coords, k, budget)
+        except OracleBudgetExceeded:
             return FormulaResult(
                 "inconclusive",
                 None,
@@ -577,55 +562,68 @@ class ElasticityScan:
     complete: bool
 
 
+def _canonical_forms(
+    base: RationalBase, bound: Fraction, budget: int
+) -> tuple[list[tuple[Fraction, tuple[int, ...]]], bool]:
+    """([(x, (d_E, ..., d_0))] sorted by x, complete) over the elements x <= bound.
+
+    Each x has exactly one factorization sum d_i q^i with all d_i < a, and
+    i <= E = max_atom_exponent(bound).  The strings are grown from d_E down in
+    lexicographic order, as integers sum d_i a^i b^(E-i) <= bound * b^E; a
+    prefix that fits extends by zeros, so no prefix is a dead end.  Keeping
+    only the first `budget` prefixes of each level keeps the first `budget`
+    strings.
+    """
+    bound = Fraction(bound)
+    a, b = base.a, base.b
+    top = max_atom_exponent(base, bound)
+    scale = b ** max(top, 0)
+    limit = bound.numerator * scale // bound.denominator
+    strings: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    complete = True
+    for i in range(top, -1, -1):
+        weight = a**i * b ** (top - i)
+        longer = []
+        for value, digits in strings:
+            for d in range(min(a, (limit - value) // weight + 1)):
+                longer.append((value + d * weight, digits + (d,)))
+        complete = complete and len(longer) <= budget
+        strings = longer[:budget]
+    strings.sort()
+    return [(Fraction(value, scale), digits) for value, digits in strings], complete
+
+
 def monoid_elements_up_to(
     base: RationalBase, bound: Fraction, budget: int = DEFAULT_ELEMENT_BUDGET
 ) -> tuple[list[Fraction], bool]:
-    """All monoid elements <= bound (closure of atom sums), sorted.
+    """All monoid elements <= bound (zero included), sorted, and completeness.
 
-    Deduplicated by exact value; stops early (complete=False) if more than
-    `budget` elements are discovered.
+    Past `budget` elements, only those of the first `budget` canonical digit
+    strings in lexicographic order from the top digit (see elasticity_scan).
     """
-    bound = Fraction(bound)
-    atoms = [base.q**i for i in range(max_atom_exponent(base, bound) + 1)]
-    seen: set[Fraction] = {Fraction(0)}
-    frontier: list[Fraction] = [Fraction(0)]
-    complete = True
-    while frontier and complete:
-        v = frontier.pop()
-        for atom in atoms:
-            w = v + atom
-            if w <= bound and w not in seen:
-                if len(seen) >= budget:
-                    complete = False
-                    break
-                seen.add(w)
-                frontier.append(w)
-    return sorted(seen), complete
+    forms, complete = _canonical_forms(base, bound, budget)
+    return [value for value, _ in forms], complete
 
 
 def elasticity_scan(
-    base: RationalBase,
-    value_bound: Fraction,
-    budget: int = DEFAULT_ELEMENT_BUDGET,
-    threads: int = 1,
+    base: RationalBase, value_bound: Fraction, budget: int = DEFAULT_ELEMENT_BUDGET
 ) -> ElasticityScan:
     """Tabulate (x, min, max, elasticity) over all elements up to the bound.
 
-    Rows are sorted by value; with threads > 1 the per-element statistics
-    are computed in a pool, which cannot change the output order.
+    Rows are sorted by value.  An element's canonical digit string is its up
+    normal form: the digit sum is the minimum length, and the down normal
+    form gives the maximum.  Past `budget` elements (zero counted) the scan
+    is partial: its budget - 1 rows are the nonzero elements whose strings
+    d_E..d_0 (E the top exponent under the bound) come first in lexicographic
+    order, i.e. those with zero high digits, not the smallest values.
     """
     if base.is_integer:
         raise ValueError("the density scan requires a non-integer base")
-    elements, complete = monoid_elements_up_to(base, value_bound, budget)
-    nonzero = [v for v in elements if v > 0]
-
-    def row(v: Fraction) -> ScanRow:
-        st = length_stats(base, v)
-        return ScanRow(v, st.min_len, st.max_len, st.elasticity)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, nonzero))
-    else:
-        rows = [row(v) for v in nonzero]
+    forms, complete = _canonical_forms(base, value_bound, budget)
+    rows = []
+    for value, digits in forms[1:]:
+        min_len = sum(digits)
+        up = NatPoly(zip(range(len(digits) - 1, -1, -1), digits))
+        max_len = down_normal_form(base, up).length()
+        rows.append(ScanRow(value, min_len, max_len, Fraction(max_len, min_len)))
     return ElasticityScan(tuple(rows), complete)

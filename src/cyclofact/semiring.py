@@ -18,17 +18,19 @@ integer values (where x copies of 1 bound the length), so length_stats
 cross-checks it against the exhaustive enumeration whenever the full length
 set is requested.
 
-Membership is decided by the same bottom-up digit argument: exponents are
-bounded by the largest e with q^e <= x, and after scaling by b^e every digit
-of a sub-a representation is forced, so the decision runs in one pass with
-exact integer arithmetic.
+Membership, enumeration and the length-set DP walk one integer digit ladder.
+A factorization sum n_i q^i of x has i <= top (the largest e with q^e <= x),
+so t_0 = x * b^top must be an integer.  Level i carries the residual t_i and
+the weight w_i = b^(top-i), and t_(i+1) = (t_i - n_i w_i) / a; so
+n_i w_i <= t_i, n_i = t_i / w_i (mod a), and the top digit is t_top itself.
+Membership takes the least, forced, digit at every level in one pass.
 
 For integer q (b = 1) the monoid is all of the nonnegative integers, a UFM:
 the single factorization of x is x copies of the atom 1, and every operation
 short-circuits accordingly.
 
 Everything here is pure and safe for concurrent use; enumeration keeps its
-memo table per call.
+state tables per call.
 """
 
 from __future__ import annotations
@@ -124,12 +126,37 @@ def _integer_witness(x: Fraction) -> Optional[NatPoly]:
     return NatPoly({0: n}) if n else NatPoly.zero()
 
 
+def _ladder(base: RationalBase, x: Fraction) -> Optional[tuple[int, Iterator[tuple[int, int]]]]:
+    """(t_0, rungs (w_i, w_i^-1 mod a) for levels 0..top), or None if x < 1 or t_0 is fractional."""
+    a, b = base.a, base.b
+    top = max_atom_exponent(base, x)
+    if top < 0:
+        return None
+    scaled = x * b**top
+    if scaled.denominator != 1:
+        return None
+
+    def rungs() -> Iterator[tuple[int, int]]:
+        weight, inverse = b**top, pow(b, -top, a)
+        for _ in range(top + 1):
+            yield weight, inverse
+            weight //= b
+            inverse = inverse * b % a
+
+    return scaled.numerator, rungs()
+
+
+def _steps(a: int, t: int, weight: int, inverse: int) -> Iterator[tuple[int, int]]:
+    """(digit, next residual) for every digit t admits below the top, smallest first."""
+    return ((n, (t - n * weight) // a) for n in range(t % a * inverse % a, t // weight + 1, a))
+
+
 def member_witness(base: RationalBase, x: Fraction) -> Optional[NatPoly]:
     """Witness factorization of x, or None when x is not in the monoid.
 
     The returned witness is the canonical sub-a digit representation, i.e.
-    already the minimum-length factorization.  Runs one bottom-up pass of
-    forced digits; no search is involved.
+    already the minimum-length factorization.  Walks the forced digit of
+    each level of the ladder once; no search is involved.
     """
     x = Fraction(x)
     if x < 0:
@@ -138,19 +165,15 @@ def member_witness(base: RationalBase, x: Fraction) -> Optional[NatPoly]:
         return NatPoly.zero()
     if base.is_integer:
         return _integer_witness(x)
-    a, b = base.a, base.b
-    top = max_atom_exponent(base, x)
-    if top < 0:
+    ladder = _ladder(base, x)
+    if ladder is None:
         return None
-    scaled = x * b**top
-    if scaled.denominator != 1:
-        return None
-    t = scaled.numerator
+    a = base.a
+    t, rungs = ladder
     digits: dict[int, int] = {}
-    bpow = b**top
-    for level in range(top + 1):
-        n = t * pow(bpow, -1, a) % a
-        t -= n * bpow
+    for level, (weight, inverse) in enumerate(rungs):
+        n = t % a * inverse % a
+        t -= n * weight
         if t < 0:
             return None
         t //= a
@@ -158,7 +181,6 @@ def member_witness(base: RationalBase, x: Fraction) -> Optional[NatPoly]:
             digits[level] = n
         if t == 0:
             break
-        bpow //= b
     if t != 0:
         return None
     return NatPoly(digits)
@@ -264,7 +286,9 @@ def down_normal_form(base: RationalBase, z: NatPoly) -> NatPoly:
     return NatPoly(terms)
 
 
-class _Budget:
+class Budget:
+    """A count of search states; spending past it raises OracleBudgetExceeded."""
+
     __slots__ = ("left",)
 
     def __init__(self, cap: int):
@@ -276,55 +300,14 @@ class _Budget:
             raise OracleBudgetExceeded()
 
 
-def _factorization_digit_runs(
-    base: RationalBase, x: Fraction, budget: _Budget
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield every digit string (degree, coeff pairs) of a factorization of x.
-
-    Depth-first over levels 0..top: at each level the digit is forced modulo
-    a, leaving a one-dimensional ladder of choices; the final level's digit
-    is forced exactly.  Yields nothing when x is not an element.
-    """
-    a, b = base.a, base.b
-    top = max_atom_exponent(base, x)
-    if top < 0:
-        return
-    scaled = x * b**top
-    if scaled.denominator != 1:
-        return
-    stack: list[tuple[int, int]] = []
-
-    def rec(level: int, t: int, bpow: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        budget.spend()
-        if level == top:
-            if t:
-                stack.append((level, t))
-                yield tuple(stack)
-                stack.pop()
-            else:
-                yield tuple(stack)
-            return
-        n = t * pow(bpow, -1, a) % a
-        while n * bpow <= t:
-            rest = (t - n * bpow) // a
-            if n:
-                stack.append((level, n))
-                yield from rec(level + 1, rest, bpow // b)
-                stack.pop()
-            else:
-                yield from rec(level + 1, rest, bpow // b)
-            n += a
-
-    yield from rec(0, scaled.numerator, b**top)
-
-
 def iter_factorizations(
     base: RationalBase, x: Fraction, cap: int = DEFAULT_ORACLE_CAP
 ) -> Iterator[NatPoly]:
     """Stream the complete factorization set of x (exhaustive oracle).
 
-    Raises OracleBudgetExceeded when the search visits more than cap states.
-    For x outside the monoid the stream is empty; x = 0 yields the empty
+    Depth-first down the digit ladder, smaller digits first.  Raises
+    OracleBudgetExceeded when the search visits more than cap nodes.  For x
+    outside the monoid the stream is empty; x = 0 yields the empty
     factorization.
     """
     x = Fraction(x)
@@ -338,9 +321,31 @@ def iter_factorizations(
         if w is not None:
             yield w
         return
-    budget = _Budget(cap)
-    for run in _factorization_digit_runs(base, x, budget):
-        yield NatPoly(dict(run))
+    ladder = _ladder(base, x)
+    if ladder is None:
+        return
+    a = base.a
+    t0, rungs = ladder
+    rungs = list(rungs)
+    top = len(rungs) - 1
+    budget = Budget(cap)
+    # stack[i] holds the untried (digit at level i-1, residual) nodes of level
+    # i; path[i] is the digit taken at level i on the way to the current node.
+    stack = [iter([(0, t0)])]
+    path = [0] * top
+    while stack:
+        level = len(stack) - 1
+        for n, t in stack[-1]:
+            if level:
+                path[level - 1] = n
+            budget.spend()
+            if level == top:
+                yield NatPoly([*enumerate(path), (top, t)])
+            else:
+                stack.append(_steps(a, t, *rungs[level]))
+                break
+        else:
+            stack.pop()
 
 
 def enumerate_factorizations(
@@ -355,58 +360,49 @@ def enumerate_length_set(
 ) -> set[int]:
     """Exhaustive length set of x via the digit dynamic program.
 
-    Independent of the normal forms: memoizes the set of achievable digit
-    sums per (level, residual) state instead of materializing every
-    factorization, so it stays usable where the full set would not.
+    Independent of the normal forms: collects the distinct residuals of each
+    ladder level, then the digit sums reachable from each one, level by level
+    from the top, instead of materializing every factorization.  A residual
+    costs one state, plus one per digit it admits below the top.
     """
     x = Fraction(x)
-    if x < 0:
-        raise ValueError("monoid elements are nonnegative")
-    if x == 0:
-        return {0}
-    if base.is_integer:
-        w = _integer_witness(x)
-        return {w.length()} if w is not None else set()
-    a, b = base.a, base.b
-    top = max_atom_exponent(base, x)
-    if top < 0:
+    if x <= 0 or base.is_integer:  # at most one factorization
+        return {z.length() for z in iter_factorizations(base, x, cap)}
+    ladder = _ladder(base, x)
+    if ladder is None:
         return set()
-    scaled = x * b**top
-    if scaled.denominator != 1:
-        return set()
-    budget = _Budget(cap)
-    memo: dict[tuple[int, int], frozenset[int]] = {}
-
-    def rec(level: int, t: int, bpow: int) -> frozenset[int]:
-        key = (level, t)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        budget.spend()
-        if level == top:
-            result = frozenset({t})
-        else:
-            acc: set[int] = set()
-            n = t * pow(bpow, -1, a) % a
-            while n * bpow <= t:
-                for tail in rec(level + 1, (t - n * bpow) // a, bpow // b):
-                    acc.add(n + tail)
+    a = base.a
+    t0, rungs = ladder
+    rungs = list(rungs)[:-1]
+    budget = Budget(cap)
+    levels = [{t0}]
+    for rung in rungs:
+        below = set()
+        for t in levels[-1]:
+            budget.spend()
+            for _, child in _steps(a, t, *rung):
                 budget.spend()
-                n += a
-            result = frozenset(acc)
-        memo[key] = result
-        return result
-
-    return set(rec(0, scaled.numerator, b**top))
+                below.add(child)
+        levels.append(below)
+    budget.spend(len(levels[-1]))
+    # lengths[t]: the digit sums from t to the top; a tuple takes far less memory than a set.
+    lengths = {t: (t,) for t in levels.pop()}
+    for rung in reversed(rungs):
+        lengths = {
+            t: tuple({n + tail for n, child in _steps(a, t, *rung) for tail in lengths[child]})
+            for t in levels.pop()
+        }
+    return set(lengths[t0])
 
 
 @dataclass(frozen=True)
 class LengthStats:
-    """Minimum/maximum factorization lengths and their ratio for one element."""
+    """Min/max factorization lengths, their ratio and the up normal form of x."""
 
     min_len: int
     max_len: int
     elasticity: Fraction
+    min_factorization: NatPoly
     length_set: Optional[tuple[int, ...]] = None
 
 
@@ -432,7 +428,7 @@ def length_stats(
         if x.denominator != 1:
             raise NotInMonoidError(f"{x} is not an element of the monoid at q={base}")
         n = x.numerator
-        return LengthStats(n, n, Fraction(1), (n,) if want_full_set else None)
+        return LengthStats(n, n, Fraction(1), NatPoly({0: n}), (n,) if want_full_set else None)
     if witness is not None:
         if witness.eval(base.q) != x:
             raise ValueError("supplied witness does not evaluate to x")
@@ -440,7 +436,8 @@ def length_stats(
         witness = member_witness(base, x)
         if witness is None:
             raise NotInMonoidError(f"{x} is not an element of the monoid at q={base}")
-    min_len = up_normal_form(base, witness).length()
+    minimum = up_normal_form(base, witness)
+    min_len = minimum.length()
     max_len = down_normal_form(base, witness).length()
     lengths: Optional[tuple[int, ...]] = None
     if want_full_set:
@@ -451,4 +448,4 @@ def length_stats(
                 f"enumerated range ({min(full)}, {max(full)}) for x={x}, q={base}"
             )
         lengths = tuple(sorted(full))
-    return LengthStats(min_len, max_len, Fraction(max_len, min_len), lengths)
+    return LengthStats(min_len, max_len, Fraction(max_len, min_len), minimum, lengths)

@@ -1,6 +1,8 @@
 import json
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 from cyclofact.cli import EXIT_BUDGET, EXIT_DOMAIN_ERROR, EXIT_OK, main
 
@@ -89,6 +91,17 @@ def test_budget_exhaustion_exit_code(capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "OracleBudgetExceeded"
 
 
+def test_deep_enumeration_exhausts_budget(capsys):
+    # 3^1200 has 3252 ladder levels, deeper than Python's recursion limit.
+    for sub in ("lengths", "factorize"):
+        code, out, err = run_cli(
+            capsys, sub, "--q", "3/2", "--value", str(3**1200), "--enumerate", "--oracle-cap", "5000"
+        )
+        assert code == EXIT_BUDGET
+        assert json.loads(err)["error"]["type"] == "OracleBudgetExceeded"
+        assert not out
+
+
 def test_oracle_cap_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("CYCLOFACT_ORACLE_CAP", "3")
     doc = run_json(
@@ -117,13 +130,23 @@ def test_scan_csv_and_manifest(capsys, tmp_path):
     assert "3,1,2,3,3/2" in lines
 
 
-def test_deterministic_output_across_threads(capsys):
+def test_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "elasticity-scan", "--q", "3/2", "--bound", "6")
-    _, out2, _ = run_cli(capsys, "elasticity-scan", "--q", "3/2", "--bound", "6", "--threads", "4")
+    _, out2, _ = run_cli(capsys, "elasticity-scan", "--q", "3/2", "--bound", "6")
     assert out1 == out2
     _, again, _ = run_cli(capsys, "lengths", "--q", "3/2", "--value", "9", "--enumerate")
     _, again2, _ = run_cli(capsys, "lengths", "--q", "3/2", "--value", "9", "--enumerate")
     assert again == again2
+
+
+def test_density_script_writes_the_cli_csv(capsys, tmp_path, monkeypatch):
+    cli_csv, script_csv = tmp_path / "cli.csv", tmp_path / "script.csv"
+    assert main(["elasticity-scan", "--q", "3/2", "--bound", "6", "--out", str(cli_csv)]) == EXIT_OK
+    script = Path(__file__).resolve().parents[1] / "scripts" / "density_scan.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--q", "3/2", "--bound", "6", "--out", str(script_csv)])
+    runpy.run_path(str(script), run_name="__main__")
+    capsys.readouterr()
+    assert script_csv.read_bytes() == cli_csv.read_bytes()
 
 
 def test_omega_interval_document(capsys):

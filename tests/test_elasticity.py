@@ -21,8 +21,11 @@ from cyclofact.semiring import (
     down_normal_form,
     enumerate_factorizations,
     length_stats,
+    max_atom_exponent,
+    member_witness,
     up_normal_form,
 )
+from test_semiring import BASES, brute_force_members
 
 B32 = RationalBase(3, 2)
 GRID_BASES = [RationalBase(3, 2), RationalBase(5, 3), RationalBase(5, 2), RationalBase(7, 4)]
@@ -249,11 +252,32 @@ class TestElasticityScan:
         assert not complete
         scan = elasticity_scan(B32, F(20), budget=5)
         assert not scan.complete
+        # The rows are the budget - 1 nonzero elements whose canonical digit
+        # strings d_E..d_0 come first in lexicographic order, sorted by value.
+        full = elasticity_scan(B32, F(20))
+        top = max_atom_exponent(B32, F(20))
 
-    def test_threads_do_not_change_output(self):
-        one = elasticity_scan(B32, F(6), threads=1)
-        four = elasticity_scan(B32, F(6), threads=4)
-        assert one == four
+        def digit_string(row):
+            w = member_witness(B32, row.value)
+            return tuple(w.coeff(i) for i in range(top, -1, -1))
+
+        first = sorted(full.rows, key=digit_string)[:4]
+        assert scan.rows == tuple(sorted(first, key=lambda r: r.value))
+        assert [r.value for r in scan.rows] == [F(1), F(3, 2), F(2), F(5, 2)]
+
+    def test_elements_match_brute_force_closure(self):
+        for base in BASES:
+            for bound in (F(1), F(5, 2), F(6), F(21, 2)):
+                elements, complete = monoid_elements_up_to(base, bound)
+                assert complete
+                assert elements == sorted(brute_force_members(base, bound, max_terms=math.floor(bound)))
+
+    def test_rows_match_length_stats(self):
+        for base in BASES:
+            for bound in (F(1), F(5, 2), F(6), F(21, 2)):
+                for row in elasticity_scan(base, bound).rows:
+                    st = length_stats(base, row.value)
+                    assert (row.min_len, row.max_len, row.elasticity) == (st.min_len, st.max_len, st.elasticity)
 
 
 def test_target_validation():

@@ -155,6 +155,20 @@ class TestEnumeration:
         with pytest.raises(OracleBudgetExceeded):
             enumerate_factorizations(B32, F(27), cap=5)
 
+    def test_exact_state_counts(self):
+        # (base, x, states of the length-set DP, states of the full search):
+        # each oracle succeeds with exactly that budget and fails with one less.
+        for base, x, dp_states, search_states in (
+            (B32, F(9), 30, 36),
+            (B32, F(81), 632, 40072),
+            (B32, F(339, 32), 25, 21),
+            (RationalBase(5, 3), F(125), 443, 10626),
+        ):
+            for oracle, states in ((enumerate_length_set, dp_states), (enumerate_factorizations, search_states)):
+                oracle(base, x, cap=states)
+                with pytest.raises(OracleBudgetExceeded):
+                    oracle(base, x, cap=states - 1)
+
     def test_length_set_matches_materialized(self):
         for base in BASES:
             for k in (1, 2):
