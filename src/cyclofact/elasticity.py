@@ -294,6 +294,9 @@ def forced_atom_shift(
     of the current presentation with q^n(q-1) > current value; both checks
     are exact.  Exponents are strictly increasing, so the added atoms are
     pairwise distinct.
+
+    The loop runs on integers: value = v/b^n and q^n = a^n/b^n, so the
+    test is a^n*(a-b) > v*b.
     """
     if base.is_integer:
         raise ValueError("forced atoms require a non-integer base (q not an algebraic integer)")
@@ -304,22 +307,25 @@ def forced_atom_shift(
         raise ValueError("presentation does not evaluate to beta")
     if shifts < 0:
         raise ValueError("shift count must be nonnegative")
-    q = base.q
-    value = beta
+    a, b = base.a, base.b
     terms = presentation.terms
     forced: list[int] = []
     n = presentation.degree() + 1
-    qn = q**n
+    # beta's denominator divides b^degree, so v = beta * b^n is an integer.
+    v = beta.numerator * (b**n // beta.denominator)
+    an = a**n
     for _ in range(shifts):
-        while not qn * (q - 1) > value:
+        while not an * (a - b) > v * b:
             n += 1
-            qn *= q
+            an *= a
+            v *= b
         terms[n] = terms.get(n, 0) + 1
-        value += qn
+        v += an
         forced.append(n)
         n += 1
-        qn *= q
-    return ForcedShift(value, NatPoly(terms), tuple(forced))
+        an *= a
+        v *= b
+    return ForcedShift(Fraction(v, b**n), NatPoly(terms), tuple(forced))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Two regimes live here.
 
 For rational q in (1, 2), the monoid generated by all rationals in [1, q]
 has atoms exactly [1, q] and a finite integer conductor c = ceil(1/(q-1));
-membership is a three-part interval condition and the omega-primality of an
-atom a is exactly c + ceil(a), certified by a blocking witness b found by
+membership is a three-part interval condition, O(1) because each interval
+[k, k*q] below c lies in [k, k+1), and the omega-primality of an atom a is
+exactly c + ceil(a), certified by a blocking witness b found by
 Stern-Brocot search.
 
 For rational q = a/b in (0, 1) with a >= 2 (the monoid is assumed atomic,
@@ -17,16 +18,20 @@ at every step.  Once all atoms of the element sit above a level N with
 K*q^N < q^k, no sub-sum of at most K of them can reach q^k, which proves
 the omega-primality of q^k exceeds K.  The witness is machine-checkable
 from four exact facts, none of which trusts the construction itself.
+
+The chain moves all mass up one level per step, so omega_lower_bound
+builds its last link in closed form; antiprime_witness_chain builds every
+link and is the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .polynomials import NatPoly
-from .rationals import rat_ceil, simplest_in_open
+from .rationals import rat_ceil, rat_floor, simplest_in_open
 
 
 @dataclass(frozen=True)
@@ -42,10 +47,10 @@ class IntervalMonoid:
         if not Fraction(1) < q < Fraction(2):
             raise ValueError(f"interval monoid requires 1 < q < 2, got {q}")
         c = rat_ceil(1 / (q - 1))
-        # The defining inequalities behind the conductor value.
-        for k in range(1, c):
-            if not k * q < k + 1:
-                raise AssertionError(f"conductor inconsistency: {k}*q >= {k + 1}")
+        # The defining inequalities behind the conductor value; k*q < k + 1
+        # is monotone in k, so k = c-1 stands for every k in 1..c-1.
+        if not (c - 1) * q < c:
+            raise AssertionError(f"conductor inconsistency: {c - 1}*q >= {c}")
         if not c * q >= c + 1:
             raise AssertionError(f"conductor inconsistency: {c}*q < {c + 1}")
         return cls(q, c)
@@ -57,16 +62,14 @@ def conductor(q: Fraction) -> int:
 
 
 def interval_membership(monoid: IntervalMonoid, x: Fraction) -> bool:
-    """x = 0, or k <= x <= k*q for some k < c, or x >= c."""
+    """x = 0, or k <= x <= k*q for k = floor(x) < c, or x >= c."""
     x = Fraction(x)
     if x < 0:
         return False
     if x == 0 or x >= monoid.conductor:
         return True
-    for k in range(1, monoid.conductor):
-        if k <= x <= k * monoid.q:
-            return True
-    return False
+    k = rat_floor(x)
+    return k >= 1 and x <= k * monoid.q
 
 
 @dataclass(frozen=True)
@@ -200,6 +203,9 @@ class OmegaWitness:
     x: Fraction
     x_presentation: NatPoly
     certificate: DivisibilityCertificate
+    # witness_checks as omega_lower_bound ran them; a witness built any other
+    # way, or copied with dataclasses.replace, carries None.
+    checks: Optional[dict[str, bool]] = field(default=None, init=False, compare=False, repr=False)
 
 
 def witness_checks(witness: OmegaWitness, q: Fraction) -> dict[str, bool]:
@@ -222,24 +228,35 @@ def witness_checks(witness: OmegaWitness, q: Fraction) -> dict[str, bool]:
 def omega_lower_bound(q: Fraction, k: int, K: int) -> OmegaWitness:
     """Witness that the omega-primality of q^k exceeds K.
 
-    N is the smallest positive integer with K*q^N < q^k; the chain is run
-    for N-k steps so the final element lives at atom levels >= N.
+    N is the smallest positive integer with K*q^N < q^k.  The witness is the
+    last link of the chain run for N-k steps, in closed form: x = a^N / b^k,
+    presented as b^(N-k) X^N, with quotient sum_{j=k}^{N-1} (a-1) b^(j-k) X^j.
+    The four witness_checks run once and are kept on the witness.
     """
-    _check_chain_regime(q)
+    a, b = _check_chain_regime(q)
     q = Fraction(q)
     if K < 1:
         raise ValueError("K must be a positive integer")
-    target = q**k
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    # K*q^N < q^k  <=>  K * a^N * b^k < a^k * b^N
+    lhs, rhs = K * b**k, a**k
     n_exp = 0
-    power = Fraction(1)
-    while not K * power < target:
+    while not lhs < rhs:
         n_exp += 1
-        power *= q
-    chain = antiprime_witness_chain(q, k, n_exp - k)
-    last = chain[-1]
-    witness = OmegaWitness(k, K, n_exp, last.beta, last.presentation, last.from_base)
+        lhs *= a
+        rhs *= b
+    quotient = {}
+    weight = a - 1  # (a-1) b^(j-k), one multiplication per level
+    for j in range(k, n_exp):
+        quotient[j] = weight
+        weight *= b
+    x = Fraction(a**n_exp, b**k)
+    certificate = DivisibilityCertificate(x, q**k, NatPoly(quotient))
+    witness = OmegaWitness(k, K, n_exp, x, NatPoly({n_exp: b ** (n_exp - k)}), certificate)
     checks = witness_checks(witness, q)
     if not all(checks.values()):
         failed = [name for name, ok in checks.items() if not ok]
         raise AssertionError(f"witness construction failed its own checks: {failed}")
+    object.__setattr__(witness, "checks", checks)
     return witness

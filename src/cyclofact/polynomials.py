@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import abc
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -33,7 +34,7 @@ class ZeroPolynomialError(ValueError):
 
 
 def _clean(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> dict[int, int]:
-    items = terms.items() if isinstance(terms, Mapping) else terms
+    items = terms.items() if isinstance(terms, abc.Mapping) else terms
     out: dict[int, int] = {}
     for deg, coeff in items:
         if deg < 0:
@@ -230,7 +231,7 @@ class RatPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, abc.Mapping) else terms
         out: dict[int, Fraction] = {}
         for deg, coeff in items:
             if deg < 0:

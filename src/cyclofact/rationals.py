@@ -51,6 +51,9 @@ def simplest_in_open(lo: Fraction, hi: Fraction) -> Fraction:
     stepping toward the interval until the mediant falls inside it.  The
     first mediant inside the interval is an ancestor of every other rational
     in it, hence has minimal denominator; the walk is deterministic.
+
+    Each run of same-direction steps (a continued-fraction partial
+    quotient) is taken in one integer division.
     """
     if lo < 0:
         raise ValueError("interval must lie in the nonnegative rationals")
@@ -59,18 +62,23 @@ def simplest_in_open(lo: Fraction, hi: Fraction) -> Fraction:
     # Fast-forward over the integer part so wide intervals do not cost
     # one mediant step per unit.
     base = lo.numerator // lo.denominator
-    if Fraction(base + 1) < hi:
+    lo_d, hi_d = lo.denominator, hi.denominator
+    lo_n, hi_n = lo.numerator - base * lo_d, hi.numerator - base * hi_d
+    if hi_d < hi_n:
         return Fraction(base + 1)
-    lo -= base
-    hi -= base
+    # Bounds ln/ld <= lo < hi <= rn/rd, starting from 0/1 and 1/0.
     ln, ld = 0, 1
     rn, rd = 1, 0
     while True:
+        # Steps toward hi: the largest t with (ln + t*rn)/(ld + t*rd) <= lo.
+        t = (lo_n * ld - ln * lo_d) // (rn * lo_d - lo_n * rd)
+        ln, ld = ln + t * rn, ld + t * rd
         mn, md = ln + rn, ld + rd
-        m = Fraction(mn, md)
-        if m <= lo:
-            ln, ld = mn, md
-        elif m >= hi:
-            rn, rd = mn, md
-        else:
-            return m + base
+        if mn * hi_d < hi_n * md:
+            return Fraction(mn + base * md, md)
+        # Steps toward lo: the largest t with (t*ln + rn)/(t*ld + rd) >= hi.
+        t = (rn * hi_d - hi_n * rd) // (hi_n * ld - ln * hi_d)
+        rn, rd = rn + t * ln, rd + t * ld
+        mn, md = ln + rn, ld + rd
+        if mn * lo_d > lo_n * md:
+            return Fraction(mn + base * md, md)

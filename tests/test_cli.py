@@ -2,6 +2,8 @@ import json
 import runpy
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 from cyclofact.cli import EXIT_BUDGET, EXIT_DOMAIN_ERROR, EXIT_OK, main
@@ -163,6 +165,31 @@ def test_antiprime_document(capsys):
     assert doc["x"] == "64"
     assert doc["presentation"] == [[6, 729]]
     assert set(doc["checks"].values()) == {"pass"}
+
+
+def test_antiprime_beyond_the_int_str_digit_limit(capsys):
+    # x = 999^1609 has 4,826 digits, past CPython's default 4,300-digit
+    # int/str conversion limit; the document must print and re-parse.  The
+    # 2 s budget guards the closed-form witness (the chain took about 4 s).
+    start = time.monotonic()
+    doc = run_json(capsys, "antiprime", "--q", "999/1000", "--k", "0", "--K", "5")
+    elapsed = time.monotonic() - start
+    assert doc["N"] == 1609
+    assert list(doc["checks"].values()) == ["pass"] * 4
+    assert Fraction(doc["x"]) == Fraction(999**1609)
+    assert len(doc["certificate"]["quotient"]) == 1609
+    assert elapsed < 2.0, f"antiprime at N = 1609 took {elapsed:.2f}s"
+
+
+def test_omega_interval_scales_to_huge_conductor(capsys):
+    c = 10**30
+    q = f"{c + 1}/{c}"
+    start = time.monotonic()
+    doc = run_json(capsys, "omega-interval", "--q", q, "--atom", q)
+    elapsed = time.monotonic() - start
+    assert doc["conductor"] == c
+    assert doc["omega"] == c + 2
+    assert elapsed < 1.0, f"omega-interval at c = 10^30 took {elapsed:.2f}s"
 
 
 def test_documents_round_trip(capsys):

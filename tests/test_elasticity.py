@@ -1,7 +1,9 @@
 import math
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from cyclofact.elasticity import (
     ElasticityTarget,
@@ -28,6 +30,7 @@ from cyclofact.semiring import (
 from test_semiring import BASES, brute_force_members
 
 B32 = RationalBase(3, 2)
+SHIFT_BASES = [RationalBase(3, 2), RationalBase(5, 3), RationalBase(7, 4), RationalBase(5, 2)]
 GRID_BASES = [RationalBase(3, 2), RationalBase(5, 3), RationalBase(5, 2), RationalBase(7, 4)]
 
 
@@ -104,7 +107,39 @@ class TestElasticityFormula:
         assert res.status == "inconclusive"
 
 
+def fraction_forced_shift(q, beta, presentation, shifts):
+    """Reference: the forced-atom loop on Fractions, value and q^n exact."""
+    value = beta
+    terms = presentation.terms
+    forced = []
+    n = presentation.degree() + 1
+    qn = q**n
+    for _ in range(shifts):
+        while not qn * (q - 1) > value:
+            n += 1
+            qn *= q
+        terms[n] = terms.get(n, 0) + 1
+        value += qn
+        forced.append(n)
+        n += 1
+        qn *= q
+    return value, NatPoly(terms), tuple(forced)
+
+
 class TestForcedAtomShift:
+    @given(
+        st.sampled_from(SHIFT_BASES),
+        st.dictionaries(st.integers(0, 8), st.integers(1, 12), min_size=1, max_size=5),
+        st.integers(0, 50),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_loop(self, base, terms, shifts):
+        pres = NatPoly(terms)
+        beta = pres.eval(base.q)
+        shift = forced_atom_shift(base, beta, pres, shifts)
+        expected = fraction_forced_shift(base.q, beta, pres, shifts)
+        assert (shift.element, shift.presentation, shift.forced_exponents) == expected
+
     def test_single_shift_example(self):
         shift = forced_atom_shift(B32, F(3), NatPoly({0: 3}), 1)
         assert shift.forced_exponents == (5,)

@@ -36,6 +36,21 @@ def sum_of_atoms_oracle(monoid, x):
     return False
 
 
+def interval_loop_membership(monoid, x):
+    """Reference: the O(c) loop over the intervals [k, k*q], k < c."""
+    x = F(x)
+    if x < 0:
+        return False
+    if x == 0 or x >= monoid.conductor:
+        return True
+    return any(k <= x <= k * monoid.q for k in range(1, monoid.conductor))
+
+
+def ratios_with_conductor(c):
+    """Two q in (1, 2) whose conductor ceil(1/(q-1)) is c."""
+    return [F(c + 1, c), F(2 * c + 1, 2 * c - 1)]
+
+
 class TestConductor:
     def test_examples(self):
         assert conductor(F(3, 2)) == 2
@@ -69,6 +84,26 @@ class TestIntervalMembership:
         if x > monoid.conductor + 2:
             x = x - rat_ceil(x - monoid.conductor - 2)
         assert interval_membership(monoid, x) == sum_of_atoms_oracle(monoid, x)
+
+    @given(
+        st.sampled_from([q for c in (2, 7, 1000) for q in ratios_with_conductor(c)]),
+        st.fractions(min_value=F(0), max_value=F(1), max_denominator=10**4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_interval_loop(self, q, t):
+        monoid = IntervalMonoid.for_ratio(q)
+        x = t * (monoid.conductor + 1)
+        assert interval_membership(monoid, x) == interval_loop_membership(monoid, x)
+
+    def test_interval_endpoints_against_loop(self):
+        for c in (2, 7, 1000):
+            for q in ratios_with_conductor(c):
+                monoid = IntervalMonoid.for_ratio(q)
+                assert monoid.conductor == c
+                eps = F(1, 10**9)
+                for k in (1, 2, c - 1, c):
+                    for x in (k - eps, k, k * q - eps, k * q, k * q + eps, k + 1 - eps):
+                        assert interval_membership(monoid, x) == interval_loop_membership(monoid, x), (q, x)
 
     def test_dense_grid_against_oracle(self):
         monoid = IntervalMonoid.for_ratio(F(3, 2))
@@ -186,6 +221,21 @@ class TestOmegaLowerBound:
                     w = omega_lower_bound(q, k, K)
                     checks = witness_checks(w, q)
                     assert all(checks.values()), (q, k, K, checks)
+
+    def test_closed_form_is_the_last_chain_link(self):
+        for q in (F(2, 3), F(3, 5), F(5, 7), F(99, 100)):
+            for k in (0, 1, 2):
+                for K in (1, 3, 10, 25):
+                    w = omega_lower_bound(q, k, K)
+                    last = antiprime_witness_chain(q, k, w.N - k)[-1]
+                    assert w.x == last.beta, (q, k, K)
+                    assert w.x_presentation == last.presentation, (q, k, K)
+                    assert w.certificate == last.from_base, (q, k, K)
+
+    def test_checks_are_kept_on_the_witness(self):
+        w = omega_lower_bound(F(3, 5), 1, 10)
+        assert w.checks == witness_checks(w, F(3, 5))
+        assert all(w.checks.values())
 
     def test_tampered_witness_fails_checks(self):
         from cyclofact.omega import OmegaWitness
