@@ -26,7 +26,8 @@ spaced indices sharing a residue class) is retained as
 large whenever single powers fail, so certificates never route through it.
 
 Density scans need no search: each element is read off its unique digit
-string with all digits below a, its up normal form.
+string with all digits below a, its up normal form (the min length); the
+down normal form's length (the max) is carried down the same digit walk.
 """
 
 from __future__ import annotations
@@ -570,33 +571,37 @@ class ElasticityScan:
 
 def _canonical_forms(
     base: RationalBase, bound: Fraction, budget: int
-) -> tuple[list[tuple[Fraction, tuple[int, ...]]], bool]:
-    """([(x, (d_E, ..., d_0))] sorted by x, complete) over the elements x <= bound.
+) -> tuple[list[tuple[Fraction, int, int]], bool]:
+    """([(x, min length, max length)] sorted by x, complete) over the elements x <= bound.
 
     Each x has exactly one factorization sum d_i q^i with all d_i < a, and
     i <= E = max_atom_exponent(bound).  The strings are grown from d_E down in
     lexicographic order, as integers sum d_i a^i b^(E-i) <= bound * b^E; a
     prefix that fits extends by zeros, so no prefix is a dead end.  Keeping
     only the first `budget` prefixes of each level keeps the first `budget`
-    strings.
+    strings.  The digit sum is the min length; the max length is the down
+    normal form's, run along the walk: at level i >= 1 the count carry + d_i
+    keeps its remainder mod b and passes a copies per b down; level 0 keeps all.
     """
     bound = Fraction(bound)
     a, b = base.a, base.b
     top = max_atom_exponent(base, bound)
     scale = b ** max(top, 0)
     limit = bound.numerator * scale // bound.denominator
-    strings: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    # (scaled value, digit sum, carry into this level, length fixed above it)
+    prefixes = [(0, 0, 0, 0)]
     complete = True
     for i in range(top, -1, -1):
         weight = a**i * b ** (top - i)
         longer = []
-        for value, digits in strings:
+        for value, low, carry, high in prefixes:
             for d in range(min(a, (limit - value) // weight + 1)):
-                longer.append((value + d * weight, digits + (d,)))
+                moves, rest = divmod(carry + d, b) if i else (0, carry + d)
+                longer.append((value + d * weight, low + d, moves * a, high + rest))
         complete = complete and len(longer) <= budget
-        strings = longer[:budget]
-    strings.sort()
-    return [(Fraction(value, scale), digits) for value, digits in strings], complete
+        prefixes = longer[:budget]
+    prefixes.sort()
+    return [(Fraction(value, scale), low, high) for value, low, _, high in prefixes], complete
 
 
 def monoid_elements_up_to(
@@ -608,7 +613,7 @@ def monoid_elements_up_to(
     strings in lexicographic order from the top digit (see elasticity_scan).
     """
     forms, complete = _canonical_forms(base, bound, budget)
-    return [value for value, _ in forms], complete
+    return [value for value, _, _ in forms], complete
 
 
 def elasticity_scan(
@@ -618,18 +623,14 @@ def elasticity_scan(
 
     Rows are sorted by value.  An element's canonical digit string is its up
     normal form: the digit sum is the minimum length, and the down normal
-    form gives the maximum.  Past `budget` elements (zero counted) the scan
-    is partial: its budget - 1 rows are the nonzero elements whose strings
-    d_E..d_0 (E the top exponent under the bound) come first in lexicographic
-    order, i.e. those with zero high digits, not the smallest values.
+    form, carried down the same digit walk, gives the maximum.  Past
+    `budget` elements (zero counted) the scan is partial: its budget - 1 rows
+    are the nonzero elements whose strings d_E..d_0 (E the top exponent under
+    the bound) come first in lexicographic order, i.e. those with zero high
+    digits, not the smallest values.
     """
     if base.is_integer:
         raise ValueError("the density scan requires a non-integer base")
     forms, complete = _canonical_forms(base, value_bound, budget)
-    rows = []
-    for value, digits in forms[1:]:
-        min_len = sum(digits)
-        up = NatPoly(zip(range(len(digits) - 1, -1, -1), digits))
-        max_len = down_normal_form(base, up).length()
-        rows.append(ScanRow(value, min_len, max_len, Fraction(max_len, min_len)))
+    rows = (ScanRow(value, low, high, Fraction(high, low)) for value, low, high in forms[1:])
     return ElasticityScan(tuple(rows), complete)

@@ -105,17 +105,28 @@ def _require_fractional(base: RationalBase) -> None:
         raise ValueError("operation requires a non-integer base q = a/b with b >= 2")
 
 
+def _log_ratio(n: int, d: int) -> float:
+    """log(n/d) for integers n >= d > 0, without overflow or cancellation near 1."""
+    return math.log1p((n - d) / d) if n < 2 * d else math.log(n) - math.log(d)
+
+
 def max_atom_exponent(base: RationalBase, x: Fraction) -> int:
-    """Largest e with q^e <= x, or -1 when x < 1 (no atom fits)."""
+    """Largest e with q^e <= x, or -1 when x < 1 (no atom fits).
+
+    A float estimate of log_q x, corrected on integers to the e with
+    a^e den <= num b^e and a^(e+1) den > num b^(e+1), where x = num/den.
+    """
     x = Fraction(x)
-    if x < 1:
+    num, den = x.numerator, x.denominator
+    if num < den:
         return -1
-    num, den = 1, 1
-    e = -1
-    while num * x.denominator <= x.numerator * den:
-        e += 1
-        num *= base.a
-        den *= base.b
+    a, b = base.a, base.b
+    e = int(_log_ratio(num, den) / _log_ratio(a, b))
+    up, down = a**e, b**e
+    while up * den > num * down:
+        e, up, down = e - 1, up // a, down // b
+    while up * a * den <= num * down * b:
+        e, up, down = e + 1, up * a, down * b
     return e
 
 
@@ -362,8 +373,10 @@ def enumerate_length_set(
 
     Independent of the normal forms: collects the distinct residuals of each
     ladder level, then the digit sums reachable from each one, level by level
-    from the top, instead of materializing every factorization.  A residual
-    costs one state, plus one per digit it admits below the top.
+    from the top, instead of materializing every factorization.  Each
+    residual's sums are one integer bitset, so a digit n shifts a child's set
+    by n and the sets of its digits merge by bitwise or.  A residual costs one
+    state, plus one per digit it admits below the top.
     """
     x = Fraction(x)
     if x <= 0 or base.is_integer:  # at most one factorization
@@ -385,14 +398,16 @@ def enumerate_length_set(
                 below.add(child)
         levels.append(below)
     budget.spend(len(levels[-1]))
-    # lengths[t]: the digit sums from t to the top; a tuple takes far less memory than a set.
-    lengths = {t: (t,) for t in levels.pop()}
+    # lengths[t]: bit l is set when some digit string from t to the top sums to l.
+    lengths = {t: 1 << t for t in levels.pop()}
     for rung in reversed(rungs):
-        lengths = {
-            t: tuple({n + tail for n, child in _steps(a, t, *rung) for tail in lengths[child]})
-            for t in levels.pop()
-        }
-    return set(lengths[t0])
+        below, lengths = lengths, {}
+        for t in levels.pop():
+            mask = 0
+            for n, child in _steps(a, t, *rung):
+                mask |= below[child] << n
+            lengths[t] = mask
+    return {l for l, bit in enumerate(reversed(bin(lengths[t0]))) if bit == "1"}
 
 
 @dataclass(frozen=True)

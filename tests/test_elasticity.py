@@ -308,9 +308,19 @@ class TestElasticityScan:
                 assert elements == sorted(brute_force_members(base, bound, max_terms=math.floor(bound)))
 
     def test_rows_match_length_stats(self):
+        # The max length carried down the digit walk against down_normal_form
+        # (via length_stats): small bounds, a bound of about 1,200 rows per
+        # base, and partial scans of that bound.
+        large = {B32: F(31), RationalBase(5, 3): F(28), RationalBase(5, 2): F(105), RationalBase(7, 4): F(27)}
         for base in BASES:
-            for bound in (F(1), F(5, 2), F(6), F(21, 2)):
-                for row in elasticity_scan(base, bound).rows:
+            scans = [elasticity_scan(base, bound) for bound in (F(1), F(5, 2), F(6), F(21, 2), large[base])]
+            assert scans[-1].complete and len(scans[-1].rows) > 1100
+            for budget in (5, 50):
+                partial = elasticity_scan(base, large[base], budget)
+                assert not partial.complete and len(partial.rows) == budget - 1
+                scans.append(partial)
+            for scan in scans:
+                for row in scan.rows:
                     st = length_stats(base, row.value)
                     assert (row.min_len, row.max_len, row.elasticity) == (st.min_len, st.max_len, st.elasticity)
 

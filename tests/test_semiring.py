@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,21 @@ from cyclofact.semiring import (
 
 B32 = RationalBase(3, 2)
 BASES = [RationalBase(3, 2), RationalBase(5, 3), RationalBase(5, 2), RationalBase(7, 4)]
+EXPONENT_BASES = BASES + [RationalBase(7, 5), RationalBase(1001, 1000)]
+
+
+def max_atom_exponent_loop(base, x):
+    """Reference for max_atom_exponent: multiply q^e up one step at a time."""
+    x = F(x)
+    if x < 1:
+        return -1
+    num, den = 1, 1
+    e = -1
+    while num * x.denominator <= x.numerator * den:
+        e += 1
+        num *= base.a
+        den *= base.b
+    return e
 
 
 def brute_force_members(base, bound, max_terms=10):
@@ -80,6 +96,49 @@ class TestMembership:
         base = RationalBase(2, 1)
         assert member_witness(base, F(9)) == NatPoly({0: 9})
         assert member_witness(base, F(9, 2)) is None
+
+
+class TestMaxAtomExponent:
+    def test_float_overflow_in_the_base(self):
+        # a/b = (10^400+1)/2 is far beyond the largest float.
+        base = RationalBase(10**400 + 1, 2)
+        for e in range(4):
+            for x in (base.q**e, base.q**e - F(1, 10**30), base.q**e + F(1, 10**30), F(10**(400 * e + 1))):
+                assert max_atom_exponent(base, x) == max_atom_exponent_loop(base, x), (e, x)
+
+    def test_cancellation_near_one(self):
+        # log a - log b rounds to 0 for q = (10^20+1)/10^20, and so does
+        # log num - log den at x = q^3; at x = q^1000 it leaves only noise.
+        base = RationalBase(10**20 + 1, 10**20)
+        assert max_atom_exponent(base, F(1)) == 0
+        for e in (3, 1000):
+            x = base.q**e
+            assert max_atom_exponent(base, x) == e
+            assert max_atom_exponent(base, x - F(1, 10**70)) == e - 1
+
+    def test_huge_integer_is_fast(self):
+        x = F(random.Random(5).getrandbits(10**5) | 1 << (10**5 - 1))
+        start = time.perf_counter()
+        e = max_atom_exponent(B32, x)
+        elapsed = time.perf_counter() - start
+        assert 3**e <= x * 2**e and 3 ** (e + 1) > x * 2 ** (e + 1)
+        assert elapsed < 1.0, elapsed
+
+
+@given(st.sampled_from(EXPONENT_BASES), st.integers(min_value=0, max_value=40), st.sampled_from([-1, 0, 1]))
+@settings(max_examples=100, deadline=None)
+def test_max_atom_exponent_at_powers(base, e, offset):
+    x = base.q**e + F(offset, 10**30)
+    assert max_atom_exponent(base, x) == max_atom_exponent_loop(base, x) == e + min(offset, 0)
+
+
+@given(
+    st.sampled_from(EXPONENT_BASES),
+    st.fractions(min_value=0, max_value=10**4, max_denominator=10**9),
+)
+@settings(max_examples=60, deadline=None)
+def test_max_atom_exponent_matches_loop(base, x):
+    assert max_atom_exponent(base, x) == max_atom_exponent_loop(base, x)
 
 
 class TestDivides:
@@ -307,3 +366,18 @@ def test_membership_witness_is_up_normal_form(base, terms):
     w = member_witness(base, x)
     assert w is not None
     assert w == up_normal_form(base, z)
+
+
+@given(
+    st.sampled_from(BASES),
+    st.dictionaries(
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=1, max_value=6),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_length_set_matches_enumerated_lengths(base, terms):
+    x = NatPoly(terms).eval(base.q)
+    assert enumerate_length_set(base, x) == {z.length() for z in enumerate_factorizations(base, x)}
