@@ -16,14 +16,12 @@ from .elasticity import (
     LowerBoundStep,
     ScanCapExceeded,
     ScanRow,
-    WindowSelection,
     construct_elasticity,
     elasticity_formula,
     elasticity_lower_bound_sequence,
     elasticity_scan,
     forced_atom_shift,
     monoid_elements_up_to,
-    residue_window_scan,
 )
 from .minimal_pair import MinimalPair, minimal_pair, minimal_pair_of_rational
 from .omega import (

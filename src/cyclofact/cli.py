@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, TextIO
 
@@ -29,7 +28,7 @@ from .omega import (
     omega_interval_atom,
     omega_lower_bound,
 )
-from .polynomials import NatPoly, ZeroPolynomialError, parse_polynomial
+from .polynomials import ZeroPolynomialError, parse_polynomial
 from .rationals import format_rat, parse_rat
 from .semiring import (
     DEFAULT_ORACLE_CAP,
@@ -47,27 +46,6 @@ EXIT_DOMAIN_ERROR = 1
 EXIT_BUDGET = 2
 
 ORACLE_CAP_ENV = "CYCLOFACT_ORACLE_CAP"
-
-SUBCOMMANDS = (
-    "minimal-pair",
-    "member",
-    "factorize",
-    "lengths",
-    "elasticity-scan",
-    "construct-elasticity",
-    "omega-interval",
-    "antiprime",
-)
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: subcommand, budgets and output routing."""
-
-    subcommand: str
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-    scan_cap: int = DEFAULT_SCAN_CAP
-    out_path: Optional[str] = None
 
 
 class CliError(Exception):
@@ -163,10 +141,6 @@ def _base_for(q: Fraction, flag: str = "--q") -> RationalBase:
     return RationalBase.from_rational(q)
 
 
-def _poly_pairs(p: NatPoly) -> list[list[int]]:
-    return p.to_pairs()
-
-
 def _cmd_minimal_pair(args) -> dict:
     if (args.polynomial is None) == (args.rational is None):
         raise CliError("minimal-pair: provide exactly one of a polynomial string or --rational")
@@ -176,10 +150,10 @@ def _cmd_minimal_pair(args) -> dict:
         pair = minimal_pair_of_rational(args.rational)
     else:
         pair = minimal_pair(parse_polynomial(args.polynomial))
-    return {"ell": pair.ell, "p": _poly_pairs(pair.p), "q0": _poly_pairs(pair.q0)}
+    return {"ell": pair.ell, "p": pair.p.to_pairs(), "q0": pair.q0.to_pairs()}
 
 
-def _cmd_member(args, config: RunConfig) -> dict:
+def _cmd_member(args) -> dict:
     base = _base_for(args.q)
     if args.value < 0:
         raise CliError(f"--value: monoid elements are nonnegative, got {format_rat(args.value)}")
@@ -188,11 +162,11 @@ def _cmd_member(args, config: RunConfig) -> dict:
         "q": str(base),
         "value": format_rat(args.value),
         "member": witness is not None,
-        "witness": _poly_pairs(witness) if witness is not None else None,
+        "witness": witness.to_pairs() if witness is not None else None,
     }
 
 
-def _cmd_factorize(args, config: RunConfig) -> dict:
+def _cmd_factorize(args) -> dict:
     base = _base_for(args.q)
     witness = member_witness(base, args.value)
     if witness is None:
@@ -202,18 +176,18 @@ def _cmd_factorize(args, config: RunConfig) -> dict:
     doc = {
         "q": str(base),
         "value": format_rat(args.value),
-        "min_factorization": _poly_pairs(witness),
-        "max_factorization": _poly_pairs(down_normal_form(base, witness)),
+        "min_factorization": witness.to_pairs(),
+        "max_factorization": down_normal_form(base, witness).to_pairs(),
     }
     if args.enumerate:
-        all_z = enumerate_factorizations(base, args.value, config.oracle_cap)
-        doc["factorizations"] = sorted(_poly_pairs(z) for z in all_z)
+        all_z = enumerate_factorizations(base, args.value, args.oracle_cap)
+        doc["factorizations"] = sorted(z.to_pairs() for z in all_z)
     return doc
 
 
-def _cmd_lengths(args, config: RunConfig) -> dict:
+def _cmd_lengths(args) -> dict:
     base = _base_for(args.q)
-    stats = length_stats(base, args.value, want_full_set=args.enumerate, cap=config.oracle_cap)
+    stats = length_stats(base, args.value, want_full_set=args.enumerate, cap=args.oracle_cap)
     doc = {
         "q": str(base),
         "value": format_rat(args.value),
@@ -223,21 +197,21 @@ def _cmd_lengths(args, config: RunConfig) -> dict:
     }
     if stats.length_set is not None:
         doc["length_set"] = list(stats.length_set)
-    doc["min_factorization"] = _poly_pairs(stats.min_factorization)
+    doc["min_factorization"] = stats.min_factorization.to_pairs()
     return doc
 
 
-def _cmd_construct_elasticity(args, config: RunConfig) -> dict:
+def _cmd_construct_elasticity(args) -> dict:
     base = _base_for(args.q)
     if args.target < 1:
         raise CliError(f"--target: elasticities are >= 1, got {format_rat(args.target)}")
     target = ElasticityTarget.from_rational(args.target)
-    cert = construct_elasticity(base, target, scan_cap=config.scan_cap)
+    cert = construct_elasticity(base, target, scan_cap=args.scan_cap)
     return {
         "q": str(base),
         "target": f"{target.s}/{target.t}",
         "element": format_rat(cert.element),
-        "presentation": _poly_pairs(cert.presentation),
+        "presentation": cert.presentation.to_pairs(),
         "min_length": cert.min_len,
         "max_length": cert.max_len,
         "achieved": format_rat(cert.achieved),
@@ -257,13 +231,13 @@ def write_scan_csv(scan, stream: TextIO) -> None:
     stream.write(f"# manifest: {status} rows={len(scan.rows)}\n")
 
 
-def _cmd_elasticity_scan(args, config: RunConfig) -> None:
+def _cmd_elasticity_scan(args) -> None:
     base = _base_for(args.q)
     if args.bound < 0:
         raise CliError(f"--bound: expected a nonnegative rational, got {format_rat(args.bound)}")
-    scan = elasticity_scan(base, args.bound, budget=config.oracle_cap)
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as handle:
+    scan = elasticity_scan(base, args.bound, budget=args.oracle_cap)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             write_scan_csv(scan, handle)
     else:
         write_scan_csv(scan, sys.stdout)
@@ -301,11 +275,11 @@ def _cmd_antiprime(args) -> dict:
         "K": witness.K,
         "N": witness.N,
         "x": format_rat(witness.x),
-        "presentation": _poly_pairs(witness.x_presentation),
+        "presentation": witness.x_presentation.to_pairs(),
         "certificate": {
             "dividend": format_rat(witness.certificate.dividend),
             "divisor": format_rat(witness.certificate.divisor),
-            "quotient": _poly_pairs(witness.certificate.quotient_presentation),
+            "quotient": witness.certificate.quotient_presentation.to_pairs(),
         },
         "checks": {name: ("pass" if ok else "fail") for name, ok in witness.checks.items()},
     }
@@ -315,26 +289,16 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
 
 
-def run(config: RunConfig, args) -> Optional[dict]:
-    """Dispatch one parsed invocation to its library operation."""
-    if config.subcommand == "minimal-pair":
-        return _cmd_minimal_pair(args)
-    if config.subcommand == "member":
-        return _cmd_member(args, config)
-    if config.subcommand == "factorize":
-        return _cmd_factorize(args, config)
-    if config.subcommand == "lengths":
-        return _cmd_lengths(args, config)
-    if config.subcommand == "construct-elasticity":
-        return _cmd_construct_elasticity(args, config)
-    if config.subcommand == "elasticity-scan":
-        _cmd_elasticity_scan(args, config)
-        return None
-    if config.subcommand == "omega-interval":
-        return _cmd_omega_interval(args)
-    if config.subcommand == "antiprime":
-        return _cmd_antiprime(args)
-    raise CliError(f"unknown subcommand {config.subcommand!r}")
+COMMANDS = {
+    "minimal-pair": _cmd_minimal_pair,
+    "member": _cmd_member,
+    "factorize": _cmd_factorize,
+    "lengths": _cmd_lengths,
+    "construct-elasticity": _cmd_construct_elasticity,
+    "elasticity-scan": _cmd_elasticity_scan,
+    "omega-interval": _cmd_omega_interval,
+    "antiprime": _cmd_antiprime,
+}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -345,13 +309,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = RunConfig(
-            subcommand=args.subcommand,
-            oracle_cap=getattr(args, "oracle_cap", None) or _default_oracle_cap(),
-            scan_cap=getattr(args, "scan_cap", DEFAULT_SCAN_CAP),
-            out_path=getattr(args, "out", None),
-        )
-        doc = run(config, args)
+        if "oracle_cap" in args and args.oracle_cap is None:
+            args.oracle_cap = _default_oracle_cap()
+        doc = COMMANDS[args.subcommand](args)
     except (OracleBudgetExceeded, ScanCapExceeded) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_BUDGET

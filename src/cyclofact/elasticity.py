@@ -20,10 +20,8 @@ perturbations a^N + m.  Scanning powers alone can leave the shift count c at
 the scale of a^k itself, far beyond anything materializable, while the
 perturbation offset walks the residue of t*L - s*ell through every class
 modulo s-t at fixed magnitude; a materialization cap keeps certificates
-explicit.  The residue-window selection over pure powers (geometrically
-spaced indices sharing a residue class) is retained as
-``residue_window_scan`` for inspection; its shift counts are astronomically
-large whenever single powers fail, so certificates never route through it.
+explicit.  A target that neither phase reaches within the caps raises
+``ScanCapExceeded``.
 
 Density scans need no search: each element is read off its unique digit
 string with all digits below a, its up normal form (the min length); the
@@ -350,12 +348,11 @@ class ElasticityCertificate:
             raise ValueError("tracked lengths do not realize the claimed ratio")
 
 
-def _power_stats(base: RationalBase, k: int) -> tuple[int, int, int]:
-    """(min_len, max_len, top_degree_of_min_factorization) for a^k."""
-    x = Fraction(base.a**k)
-    witness = member_witness(base, x)
+def _power_stats(base: RationalBase, k: int) -> tuple[int, int]:
+    """(min_len, max_len) for a^k."""
+    witness = member_witness(base, Fraction(base.a**k))
     assert witness is not None
-    return witness.length(), base.a**k, witness.degree()
+    return witness.length(), base.a**k
 
 
 def construct_elasticity(
@@ -381,13 +378,8 @@ def construct_elasticity(
         log.append({"step": "select", "kind": "atom", "element": "1"})
         return ElasticityCertificate(Fraction(1), pres, 1, 1, Fraction(1), tuple(log))
 
-    q = base.q
     d = s - t
-    n_exp = 0
-    qn = Fraction(1)
-    while not qn > target.ratio:
-        n_exp += 1
-        qn *= q
+    n_exp = max_atom_exponent(base, target.ratio) + 1
     log.append({"step": "threshold", "N": n_exp, "condition": f"q^N > {s}/{t}"})
 
     chosen: Optional[tuple[Fraction, int, int, int, dict]] = None
@@ -395,7 +387,7 @@ def construct_elasticity(
     # Phase A: single powers a^k.  t*L - s*ell > 0 holds for k >= N; stop
     # once the implied shift count outgrows the materialization cap.
     for k in range(n_exp, n_exp + scan_cap):
-        ell, big_l, _ = _power_stats(base, k)
+        ell, big_l = _power_stats(base, k)
         score = t * big_l - s * ell
         residue = score % d
         log.append(
@@ -465,88 +457,6 @@ def construct_elasticity(
     assert achieved == target.ratio
     return ElasticityCertificate(
         shifted.element, shifted.presentation, min_len, max_len, achieved, tuple(log)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Residue-window selection over pure powers (kept for inspection)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WindowScanRecord:
-    k: int
-    min_len: int
-    top_degree: int
-    residue: int
-
-
-@dataclass(frozen=True)
-class WindowSelection:
-    """s-t window-ordered power indices sharing one residue class.
-
-    The element sum(a^k_j) has min length sum(ell_j) because the windows
-    [k_j, m_j] are pairwise disjoint and increasing, so its shift count
-    (t*L - s*ell)/(s-t) is exact; it is reported symbolically because it is
-    generally far beyond materialization.
-    """
-
-    residue: int
-    indices: tuple[int, ...]
-    records: tuple[WindowScanRecord, ...]
-    min_len: int
-    max_len: int
-    shift_count: int
-
-
-def residue_window_scan(
-    base: RationalBase, target: ElasticityTarget, scan_cap: int = 2000
-) -> WindowSelection:
-    """Scan powers a^k for s-t window-compatible indices with equal residue.
-
-    Indices are accepted greedily: k joins its residue class when it exceeds
-    the top degree of the previous member's minimum factorization.  The
-    first class to collect s-t members wins (ties cannot occur since each k
-    updates a single class).
-    """
-    if base.is_integer:
-        raise ValueError("residue windows require a non-integer base")
-    s, t = target.s, target.t
-    if s == t:
-        raise ValueError("trivial target 1/1 needs no residue matching")
-    d = s - t
-    q = base.q
-    n_exp = 0
-    qn = Fraction(1)
-    while not qn > target.ratio:
-        n_exp += 1
-        qn *= q
-    records: list[WindowScanRecord] = []
-    classes: dict[int, list[WindowScanRecord]] = {}
-    for k in range(n_exp, n_exp + scan_cap):
-        ell, big_l, top = _power_stats(base, k)
-        residue = (t * big_l - s * ell) % d
-        rec = WindowScanRecord(k, ell, top, residue)
-        records.append(rec)
-        members = classes.setdefault(residue, [])
-        if not members or k > members[-1].top_degree:
-            members.append(rec)
-        if len(members) == d:
-            ell_x = sum(r.min_len for r in members)
-            big_x = sum(base.a**r.k for r in members)
-            score = t * big_x - s * ell_x
-            assert score % d == 0
-            return WindowSelection(
-                residue,
-                tuple(r.k for r in members),
-                tuple(records),
-                ell_x,
-                big_x,
-                score // d,
-            )
-    raise ScanCapExceeded(
-        f"residue windows incomplete after {scan_cap} powers for target {s}/{t}",
-        partial_log=[r.__dict__ for r in records],
     )
 
 

@@ -1,14 +1,18 @@
 """Sparse exact polynomials: integer, nonnegative-integer and rational.
 
-Three thin wrappers around a ``{degree: coefficient}`` map:
+Three thin subclasses of one sparse ``{degree: coefficient}`` core, which
+holds the storage, the queries and ``+``, ``-`` and ``*``:
 
-* ``IntPoly``  -- integer coefficients, used for minimal polynomials and
-  differences of polynomials.
+* ``IntPoly``  -- integer coefficients of either sign, with Descartes'
+  sign-variation count.
 * ``NatPoly``  -- strictly positive integer coefficients.  Doubles as a
   factorization (coefficient at i = multiplicity of the atom q^i) and as an
   element presentation f with f(q) = value.
-* ``RatPoly``  -- rational coefficients, the input type for minimal-pair
-  computations and the polynomial-string parser.
+* ``RatPoly``  -- rational coefficients, stored as Fractions: the minimal
+  polynomials of minimal-pair computations and of ``algebraic``, and the
+  output of the polynomial-string parser.  Adds the remainder ``mod``.
+
+Equal coefficient maps compare equal across the three classes.
 
 Zero coefficients are never stored, so the zero polynomial is the empty map;
 it is a distinct queryable state (``is_zero``) and asking for its support or
@@ -25,8 +29,6 @@ import re
 from collections import abc
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
-
-Rat = Fraction
 
 
 class ZeroPolynomialError(ValueError):
@@ -47,9 +49,14 @@ def _clean(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> dict[int, in
 
 
 class _SparsePoly:
-    """Shared machinery for the integer-coefficient wrappers."""
+    """Shared storage, queries and arithmetic of the three wrappers.
+
+    Arithmetic builds the left operand's type, so the subclass's check hook
+    vets every result.
+    """
 
     __slots__ = ("_terms", "_hash")
+    _zero = 0
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         cleaned = _clean(terms)
@@ -70,7 +77,7 @@ class _SparsePoly:
         return not self._terms
 
     def coeff(self, degree: int) -> int:
-        return self._terms.get(degree, 0)
+        return self._terms.get(degree, self._zero)
 
     def support(self) -> set[int]:
         """Degrees carrying a nonzero coefficient; undefined for zero."""
@@ -106,7 +113,23 @@ class _SparsePoly:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]):
-        return cls([(int(d), int(c)) for d, c in pairs])
+        return cls([(int(d), c) for d, c in pairs])
+
+    def __add__(self, other):
+        return type(self)([*self._terms.items(), *other._terms.items()])
+
+    def __sub__(self, other):
+        return type(self)([*self._terms.items(), *((d, -c) for d, c in other._terms.items())])
+
+    def __neg__(self):
+        return type(self)() - self
+
+    def __mul__(self, other):
+        return type(self)(
+            (d1 + d2, c1 * c2)
+            for d1, c1 in self._terms.items()
+            for d2, c2 in other._terms.items()
+        )
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _SparsePoly):
@@ -137,25 +160,6 @@ class _SparsePoly:
 
 class IntPoly(_SparsePoly):
     """Sparse polynomial with (nonzero) integer coefficients."""
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        merged = dict(self._terms)
-        for deg, coeff in other._terms.items():
-            merged[deg] = merged.get(deg, 0) + coeff
-        return IntPoly(merged)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly({d: -c for d, c in self._terms.items()})
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        out: dict[int, int] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
-                out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-        return IntPoly(out)
 
     def sign_variations(self) -> int:
         """Sign changes in the coefficient sequence by increasing degree.
@@ -200,19 +204,6 @@ class NatPoly(_SparsePoly):
         """Sum of coefficients, i.e. the value at 1 (factorization length)."""
         return sum(self._terms.values())
 
-    def __add__(self, other: "NatPoly") -> "NatPoly":
-        merged = dict(self._terms)
-        for deg, coeff in other._terms.items():
-            merged[deg] = merged.get(deg, 0) + coeff
-        return NatPoly(merged)
-
-    def __mul__(self, other: "NatPoly") -> "NatPoly":
-        out: dict[int, int] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
-                out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-        return NatPoly(out)
-
     def __pow__(self, n: int) -> "NatPoly":
         if n < 0:
             raise ValueError("negative power")
@@ -221,52 +212,19 @@ class NatPoly(_SparsePoly):
             result = result * self
         return result
 
-    def as_int_poly(self) -> IntPoly:
-        return IntPoly(self._terms)
 
+class RatPoly(_SparsePoly):
+    """Sparse polynomial with rational coefficients, stored as Fractions."""
 
-class RatPoly:
-    """Sparse polynomial with rational coefficients (immutable)."""
+    _zero = Fraction(0)
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
-        items = terms.items() if isinstance(terms, abc.Mapping) else terms
-        out: dict[int, Fraction] = {}
-        for deg, coeff in items:
-            if deg < 0:
-                raise ValueError(f"negative degree {deg}")
-            c = Fraction(coeff)
-            if c:
-                out[deg] = out.get(deg, Fraction(0)) + c
-                if not out[deg]:
-                    del out[deg]
-        self._terms = out
-
-    @property
-    def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coeff(self, degree: int) -> Fraction:
-        return self._terms.get(degree, Fraction(0))
-
-    def degree(self) -> int:
-        if not self._terms:
-            raise ZeroPolynomialError("undefined degree of the zero polynomial")
-        return max(self._terms)
+    @staticmethod
+    def _check(terms: dict[int, Fraction]) -> None:
+        for deg, coeff in terms.items():
+            terms[deg] = Fraction(coeff)
 
     def is_monic(self) -> bool:
         return bool(self._terms) and self.coeff(self.degree()) == 1
-
-    def eval(self, x: Fraction) -> Fraction:
-        total = Fraction(0)
-        for deg, coeff in self._terms.items():
-            total += coeff * Fraction(x) ** deg
-        return total
 
     def denominator_lcm(self) -> int:
         """lcm of the coefficient denominators (1 for the zero polynomial)."""
@@ -279,61 +237,22 @@ class RatPoly:
         c = Fraction(c)
         return RatPoly({d: c * v for d, v in self._terms.items()})
 
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        merged = dict(self._terms)
-        for deg, coeff in other._terms.items():
-            merged[deg] = merged.get(deg, Fraction(0)) + coeff
-        return RatPoly(merged)
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + other.scale(Fraction(-1))
-
-    def __mul__(self, other: "RatPoly") -> "RatPoly":
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
-                out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + c1 * c2
-        return RatPoly(out)
-
     def mod(self, divisor: "RatPoly") -> "RatPoly":
         """Remainder of exact division by a nonzero polynomial."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial modulo zero")
         ddeg = divisor.degree()
         lead = divisor.coeff(ddeg)
-        rem = dict(self._terms)
-
-        def top() -> int | None:
-            live = [d for d, c in rem.items() if c]
-            return max(live) if live else None
-
-        t = top()
-        while t is not None and t >= ddeg:
-            factor = rem[t] / lead
-            for d, c in divisor._terms.items():
-                nd = t - ddeg + d
-                rem[nd] = rem.get(nd, Fraction(0)) - factor * c
-            rem.pop(t, None)
-            t = top()
-        return RatPoly(rem)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RatPoly):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "RatPoly(0)"
-        parts = [f"({c})*X^{d}" for d, c in sorted(self._terms.items())]
-        return f"RatPoly({' + '.join(parts)})"
+        rem = self
+        while rem and rem.degree() >= ddeg:
+            top = rem.degree()
+            factor = rem.coeff(top) / lead
+            rem -= RatPoly({top - ddeg + d: factor * c for d, c in divisor._terms.items()})
+        return rem
 
     @classmethod
     def from_int_poly(cls, p: IntPoly | NatPoly) -> "RatPoly":
-        return cls({d: Fraction(c) for d, c in p.terms.items()})
+        return cls(p.terms)
 
 
 _TERM_RE = re.compile(

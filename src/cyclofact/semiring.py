@@ -426,15 +426,13 @@ def length_stats(
     x: Fraction,
     want_full_set: bool = False,
     cap: int = DEFAULT_ORACLE_CAP,
-    witness: Optional[NatPoly] = None,
 ) -> LengthStats:
     """Length statistics of a nonzero element x.
 
-    min comes from the up normal form, max from the down normal form of a
-    single membership witness; the full length set (when requested) comes
-    from the exhaustive digit DP and is cross-checked against both.
-    Supplying a presentation of x as `witness` skips the membership
-    decision (certificates flow through, they are not re-derived).
+    min comes from the membership witness, which is already the up normal
+    form, max from its down normal form; the full length set (when
+    requested) comes from the exhaustive digit DP and is cross-checked
+    against both.
     """
     x = Fraction(x)
     if x <= 0:
@@ -444,16 +442,11 @@ def length_stats(
             raise NotInMonoidError(f"{x} is not an element of the monoid at q={base}")
         n = x.numerator
         return LengthStats(n, n, Fraction(1), NatPoly({0: n}), (n,) if want_full_set else None)
-    if witness is not None:
-        if witness.eval(base.q) != x:
-            raise ValueError("supplied witness does not evaluate to x")
-    else:
-        witness = member_witness(base, x)
-        if witness is None:
-            raise NotInMonoidError(f"{x} is not an element of the monoid at q={base}")
-    minimum = up_normal_form(base, witness)
+    minimum = member_witness(base, x)
+    if minimum is None:
+        raise NotInMonoidError(f"{x} is not an element of the monoid at q={base}")
     min_len = minimum.length()
-    max_len = down_normal_form(base, witness).length()
+    max_len = down_normal_form(base, minimum).length()
     lengths: Optional[tuple[int, ...]] = None
     if want_full_set:
         full = enumerate_length_set(base, x, cap)

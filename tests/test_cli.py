@@ -112,6 +112,21 @@ def test_oracle_cap_flag_overrides_env(capsys, monkeypatch):
     assert doc["length_set"] == [3, 4, 5, 6, 7, 8, 9]
 
 
+def test_malformed_env_cap_only_breaks_commands_with_an_oracle_cap(capsys, monkeypatch):
+    monkeypatch.setenv("CYCLOFACT_ORACLE_CAP", "abc")
+    for argv in (
+        ("minimal-pair", "--rational", "3/2"),
+        ("omega-interval", "--q", "3/2", "--atom", "4/3"),
+        ("antiprime", "--q", "2/3", "--k", "0", "--K", "2"),
+        ("construct-elasticity", "--q", "3/2", "--target", "5/3"),
+    ):
+        run_json(capsys, *argv)
+    code, out, err = run_cli(capsys, "lengths", "--q", "3/2", "--value", "9")
+    assert code == EXIT_DOMAIN_ERROR
+    assert "CYCLOFACT_ORACLE_CAP" in json.loads(err)["error"]["message"]
+    assert not out
+
+
 def test_construct_elasticity_document(capsys):
     doc = run_json(capsys, "construct-elasticity", "--q", "3/2", "--target", "5/3", "--scan-cap", "200")
     assert doc["achieved"] == "5/3"

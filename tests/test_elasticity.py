@@ -14,7 +14,6 @@ from cyclofact.elasticity import (
     elasticity_scan,
     forced_atom_shift,
     monoid_elements_up_to,
-    residue_window_scan,
 )
 from cyclofact.minimal_pair import minimal_pair_of_rational
 from cyclofact.polynomials import NatPoly, parse_polynomial
@@ -224,38 +223,6 @@ class TestConstructElasticity:
     def test_integer_base_rejected(self):
         with pytest.raises(ValueError):
             construct_elasticity(RationalBase(3, 1), ElasticityTarget(3, 2))
-
-
-class TestResidueWindows:
-    def test_residues_in_range_and_windows_ordered(self):
-        for base in (B32, RationalBase(5, 2)):
-            for target in (ElasticityTarget(5, 3), ElasticityTarget(5, 2), ElasticityTarget(7, 4)):
-                sel = residue_window_scan(base, target)
-                d = target.s - target.t
-                assert 0 <= sel.residue < d
-                assert len(sel.indices) == d
-                assert all(0 <= r.residue < d for r in sel.records)
-                # window condition: each index exceeds the previous top degree
-                tops = {r.k: r.top_degree for r in sel.records}
-                for prev, nxt in zip(sel.indices, sel.indices[1:]):
-                    assert nxt > tops[prev]
-
-    def test_selection_satisfies_divisibility(self):
-        sel = residue_window_scan(B32, ElasticityTarget(7, 4))
-        t, s = 4, 7
-        assert (t * sel.max_len - s * sel.min_len) % (s - t) == 0
-        assert sel.shift_count >= 0
-
-    def test_pigeonhole_on_scan_log(self):
-        # within any window of (s-t)*(max gap)+1 consecutive scanned indices
-        # some residue class repeats s-t times
-        sel = residue_window_scan(B32, ElasticityTarget(5, 2))
-        d = 3
-        residues = [r.residue for r in sel.records]
-        from collections import Counter
-
-        counts = Counter(residues)
-        assert max(counts.values()) >= min(d, len(residues) // d + (1 if len(residues) % d else 0))
 
 
 class TestElasticityScan:

@@ -161,3 +161,78 @@ def test_ratpoly_mod():
     r = RatPoly({3: F(1)}).mod(m)  # X^3 = (X+3)m + 8X - 3
     assert r.terms == {1: F(8), 0: F(-3)}
     assert RatPoly({2: F(1), 1: F(-3), 0: F(1)}).mod(m).is_zero
+
+
+def ratpoly_mod_reference(f: RatPoly, divisor: RatPoly) -> RatPoly:
+    """RatPoly.mod as written before RatPoly shared the sparse core."""
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial modulo zero")
+    ddeg = divisor.degree()
+    lead = divisor.coeff(ddeg)
+    rem = dict(f.terms)
+
+    def top() -> int | None:
+        live = [d for d, c in rem.items() if c]
+        return max(live) if live else None
+
+    t = top()
+    while t is not None and t >= ddeg:
+        factor = rem[t] / lead
+        for d, c in divisor.terms.items():
+            nd = t - ddeg + d
+            rem[nd] = rem.get(nd, F(0)) - factor * c
+        rem.pop(t, None)
+        t = top()
+    return RatPoly(rem)
+
+
+sparse_rat_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=10),
+    st.fractions(min_value=F(-20), max_value=F(20), max_denominator=9),
+    max_size=6,
+).map(RatPoly)
+
+
+@given(sparse_rat_polys, sparse_rat_polys)
+def test_ratpoly_mod_matches_reference(f, divisor):
+    if divisor.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            f.mod(divisor)
+        return
+    r = f.mod(divisor)
+    assert r == ratpoly_mod_reference(f, divisor)
+    assert r.is_zero or r.degree() < divisor.degree()
+    assert all(type(c) is F for c in r.terms.values())
+
+
+def test_ratpoly_coefficients_read_back_as_fractions():
+    p = RatPoly({0: 3, 2: F(1, 2), 5: 0})
+    assert p.terms == {0: F(3), 2: F(1, 2)}
+    assert all(type(c) is F for c in p.terms.values())
+    assert type(p.coeff(0)) is F and type(p.coeff(1)) is F
+    assert p.coeff(1) == 0
+    for q in (p + p, p - RatPoly({0: 1}), p * p, -p, p.scale(2), RatPoly.from_int_poly(NatPoly({1: 4}))):
+        assert all(type(c) is F for c in q.terms.values())
+    assert all(type(c) is F for c in parse_polynomial("X^2 - 3X + 1").terms.values())
+    assert RatPoly.from_pairs([[0, F(1, 2)], [1, 3]]) == RatPoly({0: F(1, 2), 1: 3})
+    assert (p - p).is_zero
+
+
+def test_equal_coefficient_maps_compare_equal_across_classes():
+    nat = NatPoly({0: 1, 2: 3})
+    rat = RatPoly.from_int_poly(nat)
+    assert rat == nat == IntPoly({0: 1, 2: 3})
+    assert hash(rat) == hash(nat)
+    assert len({nat, rat, IntPoly(nat.terms)}) == 1
+    assert rat != RatPoly({0: 1, 2: F(3, 2)})
+    assert nat != nat.terms
+
+
+def test_arithmetic_builds_the_left_operands_class():
+    nat, ints = NatPoly({1: 2}), IntPoly({0: -1})
+    assert type(nat + nat) is NatPoly and type(nat * nat) is NatPoly
+    assert type(ints + nat) is IntPoly and type(ints - nat) is IntPoly
+    assert NatPoly({0: 3, 1: 1}) - NatPoly({0: 1}) == NatPoly({0: 2, 1: 1})
+    with pytest.raises(ValueError):
+        -nat  # a NatPoly cannot hold negative coefficients
+    assert -ints == IntPoly({0: 1})
