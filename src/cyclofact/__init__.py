@@ -42,7 +42,6 @@ from .rationals import Rat, format_rat, parse_rat, simplest_in_open
 from .semiring import (
     DEFAULT_ORACLE_CAP,
     LengthStats,
-    NormalFormDiscrepancy,
     NotInMonoidError,
     OracleBudgetExceeded,
     RationalBase,

@@ -141,6 +141,14 @@ def _base_for(q: Fraction, flag: str = "--q") -> RationalBase:
     return RationalBase.from_rational(q)
 
 
+def _element_base(args) -> RationalBase:
+    """The base of member, factorize and lengths, once --value is checked too."""
+    base = _base_for(args.q)
+    if args.value < 0:
+        raise CliError(f"--value: monoid elements are nonnegative, got {format_rat(args.value)}")
+    return base
+
+
 def _cmd_minimal_pair(args) -> dict:
     if (args.polynomial is None) == (args.rational is None):
         raise CliError("minimal-pair: provide exactly one of a polynomial string or --rational")
@@ -154,9 +162,7 @@ def _cmd_minimal_pair(args) -> dict:
 
 
 def _cmd_member(args) -> dict:
-    base = _base_for(args.q)
-    if args.value < 0:
-        raise CliError(f"--value: monoid elements are nonnegative, got {format_rat(args.value)}")
+    base = _element_base(args)
     witness = member_witness(base, args.value)
     return {
         "q": str(base),
@@ -167,7 +173,7 @@ def _cmd_member(args) -> dict:
 
 
 def _cmd_factorize(args) -> dict:
-    base = _base_for(args.q)
+    base = _element_base(args)
     witness = member_witness(base, args.value)
     if witness is None:
         raise NotInMonoidError(
@@ -186,7 +192,7 @@ def _cmd_factorize(args) -> dict:
 
 
 def _cmd_lengths(args) -> dict:
-    base = _base_for(args.q)
+    base = _element_base(args)
     stats = length_stats(base, args.value, want_full_set=args.enumerate, cap=args.oracle_cap)
     doc = {
         "q": str(base),

@@ -12,15 +12,28 @@ factorizations of the same element:
 Running up moves to exhaustion yields the unique factorization with every
 coefficient <= a-1; it is minimum-length.  (Uniqueness: multiply by b^E and
 read levels bottom-up -- each digit is forced modulo a.)  Running down moves
-until every coefficient at degree >= 1 is <= b-1 maximizes length; that the
-terminal form is maximal for arbitrary elements is only proved here for
-integer values (where x copies of 1 bound the length), so length_stats
-cross-checks it against the exhaustive enumeration whenever the full length
-set is requested.
+until every coefficient at degree >= 1 is <= b-1 yields the maximum-length
+factorization, and every length in between occurs:
 
-Membership, enumeration and the length-set DP walk one integer digit ladder.
-A factorization sum n_i q^i of x has i <= top (the largest e with q^e <= x),
-so t_0 = x * b^top must be an integer.  Level i carries the residual t_i and
+* Uniqueness.  Let two factorizations of x have every digit at degree >= 1
+  below b, and let d be their difference, so sum_(j<=E) d_j a^j b^(E-j) = 0.
+  Modulo b this leaves d_E a^E, so b | d_E, and |d_E| < b forces d_E = 0.
+  Divide by b and repeat down to degree 1; then d_0 = 0 too.
+* Termination.  Each down move adds a-b to the length, and every length is
+  at most x because every atom is >= 1.
+* So the down moves from any factorization end at the same form, and each
+  move lengthens it: that form has the maximum length.
+* Length set.  Single up moves lead from that form to the up form, each one
+  lowering the length by exactly a-b, so every length between the two ends
+  in steps of a-b occurs.  Any factorization reaches the up form by up moves,
+  so its length is congruent to the minimum modulo a-b.  Hence
+  L(x) = {min, min + (a-b), ..., max}, as in Chapman, Gotti & Gotti
+  (Comm. Algebra 2020, arXiv:1904.00219), and length_stats builds it from
+  the two normal forms.
+
+Membership and enumeration walk one integer digit ladder.  A factorization
+sum n_i q^i of x has i <= top (the largest e with q^e <= x), so
+t_0 = x * b^top must be an integer.  Level i carries the residual t_i and
 the weight w_i = b^(top-i), and t_(i+1) = (t_i - n_i w_i) / a; so
 n_i w_i <= t_i, n_i = t_i / w_i (mod a), and the top digit is t_top itself.
 Membership takes the least, forced, digit at every level in one pass.
@@ -30,7 +43,7 @@ the single factorization of x is x copies of the atom 1, and every operation
 short-circuits accordingly.
 
 Everything here is pure and safe for concurrent use; enumeration keeps its
-state tables per call.
+search stack per call.
 """
 
 from __future__ import annotations
@@ -54,14 +67,6 @@ class OracleBudgetExceeded(RuntimeError):
 
 class NotInMonoidError(ValueError):
     """An operation required a value that is not an element of the monoid."""
-
-
-class NormalFormDiscrepancy(AssertionError):
-    """Normal-form length disagrees with the exhaustive enumeration.
-
-    Never expected to fire; exists so a maximality failure of the down
-    normal form would be reported rather than silently assumed away.
-    """
 
 
 @dataclass(frozen=True)
@@ -275,8 +280,8 @@ def down_normal_form(base: RationalBase, z: NatPoly) -> NatPoly:
     """Run down moves to exhaustion: coefficients at degree >= 1 all below b.
 
     Length strictly increases by a-b per move and is bounded by the element
-    value, so the descending pass terminates; it realizes the maximum-length
-    factorization (cross-checked against enumeration by length_stats).
+    value, so the descending pass terminates; the result is the unique such
+    form and the maximum-length factorization (see the module docstring).
     """
     if base.is_integer:
         v = z.eval(base.q)
@@ -366,53 +371,10 @@ def enumerate_factorizations(
     return list(iter_factorizations(base, x, cap))
 
 
-def enumerate_length_set(
-    base: RationalBase, x: Fraction, cap: int = DEFAULT_ORACLE_CAP
-) -> set[int]:
-    """Exhaustive length set of x via the digit dynamic program.
-
-    Independent of the normal forms: collects the distinct residuals of each
-    ladder level, then the digit sums reachable from each one, level by level
-    from the top, instead of materializing every factorization.  Each
-    residual's sums are one integer bitset, so a digit n shifts a child's set
-    by n and the sets of its digits merge by bitwise or.  A residual costs one
-    state, plus one per digit it admits below the top.
-    """
-    x = Fraction(x)
-    if x <= 0 or base.is_integer:  # at most one factorization
-        return {z.length() for z in iter_factorizations(base, x, cap)}
-    ladder = _ladder(base, x)
-    if ladder is None:
-        return set()
-    a = base.a
-    t0, rungs = ladder
-    rungs = list(rungs)[:-1]
-    budget = Budget(cap)
-    levels = [{t0}]
-    for rung in rungs:
-        below = set()
-        for t in levels[-1]:
-            budget.spend()
-            for _, child in _steps(a, t, *rung):
-                budget.spend()
-                below.add(child)
-        levels.append(below)
-    budget.spend(len(levels[-1]))
-    # lengths[t]: bit l is set when some digit string from t to the top sums to l.
-    lengths = {t: 1 << t for t in levels.pop()}
-    for rung in reversed(rungs):
-        below, lengths = lengths, {}
-        for t in levels.pop():
-            mask = 0
-            for n, child in _steps(a, t, *rung):
-                mask |= below[child] << n
-            lengths[t] = mask
-    return {l for l, bit in enumerate(reversed(bin(lengths[t0]))) if bit == "1"}
-
-
 @dataclass(frozen=True)
 class LengthStats:
-    """Min/max factorization lengths, their ratio and the up normal form of x."""
+    """Min/max factorization lengths, their ratio, the up normal form of x
+    and, when requested, the length set {min, min + (a-b), ..., max}."""
 
     min_len: int
     max_len: int
@@ -430,9 +392,10 @@ def length_stats(
     """Length statistics of a nonzero element x.
 
     min comes from the membership witness, which is already the up normal
-    form, max from its down normal form; the full length set (when
-    requested) comes from the exhaustive digit DP and is cross-checked
-    against both.
+    form, max from its down normal form.  The full length set (when
+    requested) is the progression between them with step a-b, proved in the
+    module docstring; it spends one state of a cap-sized Budget per length,
+    so cap bounds the output.
     """
     x = Fraction(x)
     if x <= 0:
@@ -449,11 +412,25 @@ def length_stats(
     max_len = down_normal_form(base, minimum).length()
     lengths: Optional[tuple[int, ...]] = None
     if want_full_set:
-        full = enumerate_length_set(base, x, cap)
-        if min(full) != min_len or max(full) != max_len:
-            raise NormalFormDiscrepancy(
-                f"normal-form lengths ({min_len}, {max_len}) disagree with "
-                f"enumerated range ({min(full)}, {max(full)}) for x={x}, q={base}"
-            )
-        lengths = tuple(sorted(full))
+        gap = base.a - base.b
+        Budget(cap).spend((max_len - min_len) // gap + 1)
+        lengths = tuple(range(min_len, max_len + 1, gap))
     return LengthStats(min_len, max_len, Fraction(max_len, min_len), minimum, lengths)
+
+
+def enumerate_length_set(
+    base: RationalBase, x: Fraction, cap: int = DEFAULT_ORACLE_CAP
+) -> set[int]:
+    """The length set of x: {0} for x = 0, empty for a non-member.
+
+    The set is length_stats's progression and spends the same budget.
+    """
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("monoid elements are nonnegative")
+    if x == 0:
+        return {0}
+    try:
+        return set(length_stats(base, x, want_full_set=True, cap=cap).length_set)
+    except NotInMonoidError:
+        return set()

@@ -34,11 +34,11 @@ from cyclofact.semiring import (
     apply_up_move,
     down_normal_form,
     enumerate_factorizations,
-    enumerate_length_set,
     length_stats,
     member_witness,
     up_normal_form,
 )
+from test_semiring import enumerate_length_set_dp
 
 ORACLE_CAP = 10**6
 B32 = RationalBase(3, 2)
@@ -85,7 +85,7 @@ def test_criterion_2_oracle_equivalence():
         for base in CRITERION2_BASES:
             for k in (1, 2, 3):
                 x = F(base.a**k)
-                lengths = enumerate_length_set(base, x, cap=ORACLE_CAP)
+                lengths = enumerate_length_set_dp(base, x, cap=ORACLE_CAP)
                 stats = length_stats(base, x)
                 assert stats.min_len == min(lengths), (base, k)
                 assert stats.max_len == max(lengths), (base, k)
@@ -213,7 +213,7 @@ def test_criterion_9_property_suites():
             gap = base.a - base.b
             for k in (1, 2, 3):
                 x = F(base.a**k)
-                lengths = sorted(enumerate_length_set(base, x, cap=ORACLE_CAP))
+                lengths = sorted(enumerate_length_set_dp(base, x, cap=ORACLE_CAP))
                 assert all((l - lengths[0]) % gap == 0 for l in lengths), (base, k)
 
         for base in CRITERION2_BASES:

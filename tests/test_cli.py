@@ -104,6 +104,26 @@ def test_deep_enumeration_exhausts_budget(capsys):
         assert not out
 
 
+def test_length_set_is_bounded_by_lengths_not_search_states(capsys):
+    start = time.perf_counter()
+    doc = run_json(
+        capsys, "lengths", "--q", "3/2", "--value", "6561", "--enumerate", "--oracle-cap", "20000"
+    )
+    elapsed = time.perf_counter() - start
+    assert doc["length_set"] == list(range(15, 6562))
+    assert elapsed < 1.0, elapsed
+
+
+def test_negative_value_is_one_usage_error(capsys):
+    for sub in ("member", "factorize", "lengths"):
+        code, out, err = run_cli(capsys, sub, "--q", "3/2", "--value", "-1")
+        assert code == EXIT_DOMAIN_ERROR
+        assert json.loads(err) == {
+            "error": {"type": "CliError", "message": "--value: monoid elements are nonnegative, got -1"}
+        }
+        assert not out
+
+
 def test_oracle_cap_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("CYCLOFACT_ORACLE_CAP", "3")
     doc = run_json(
@@ -164,6 +184,21 @@ def test_density_script_writes_the_cli_csv(capsys, tmp_path, monkeypatch):
     runpy.run_path(str(script), run_name="__main__")
     capsys.readouterr()
     assert script_csv.read_bytes() == cli_csv.read_bytes()
+
+
+def test_grid_script_matches_the_cli_certificates(capsys, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "full_elasticity_grid.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--smax", "5", "--bases", "3/2"])
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "== q = 3/2 =="
+    assert lines[-1].startswith("9 certificates, all exact")
+    rows = lines[1:-2]
+    assert len(rows) == 9
+    for row in rows:
+        target = row.split(":")[0].strip()
+        doc = run_json(capsys, "construct-elasticity", "--q", "3/2", "--target", target, "--scan-cap", "200")
+        assert row.endswith(f"lengths ({doc['min_length']}, {doc['max_length']})")
 
 
 def test_omega_interval_document(capsys):

@@ -9,9 +9,12 @@ import hypothesis.strategies as st
 
 from cyclofact.polynomials import NatPoly
 from cyclofact.semiring import (
+    Budget,
     NotInMonoidError,
     OracleBudgetExceeded,
     RationalBase,
+    _ladder,
+    _steps,
     apply_down_move,
     apply_up_move,
     divides,
@@ -19,6 +22,7 @@ from cyclofact.semiring import (
     enumerate_factorizations,
     enumerate_length_set,
     is_member,
+    iter_factorizations,
     length_stats,
     max_atom_exponent,
     member_witness,
@@ -42,6 +46,48 @@ def max_atom_exponent_loop(base, x):
         num *= base.a
         den *= base.b
     return e
+
+
+def enumerate_length_set_dp(base, x, cap=10**6):
+    """Reference for the length set: the exhaustive digit dynamic program.
+
+    Independent of the normal forms: collects the distinct residuals of each
+    ladder level, then the digit sums reachable from each one, level by level
+    from the top, instead of materializing every factorization.  Each
+    residual's sums are one integer bitset, so a digit n shifts a child's set
+    by n and the sets of its digits merge by bitwise or.  A residual costs one
+    state, plus one per digit it admits below the top.
+    """
+    x = F(x)
+    if x <= 0 or base.is_integer:  # at most one factorization
+        return {z.length() for z in iter_factorizations(base, x, cap)}
+    ladder = _ladder(base, x)
+    if ladder is None:
+        return set()
+    a = base.a
+    t0, rungs = ladder
+    rungs = list(rungs)[:-1]
+    budget = Budget(cap)
+    levels = [{t0}]
+    for rung in rungs:
+        below = set()
+        for t in levels[-1]:
+            budget.spend()
+            for _, child in _steps(a, t, *rung):
+                budget.spend()
+                below.add(child)
+        levels.append(below)
+    budget.spend(len(levels[-1]))
+    # lengths[t]: bit l is set when some digit string from t to the top sums to l.
+    lengths = {t: 1 << t for t in levels.pop()}
+    for rung in reversed(rungs):
+        below, lengths = lengths, {}
+        for t in levels.pop():
+            mask = 0
+            for n, child in _steps(a, t, *rung):
+                mask |= below[child] << n
+            lengths[t] = mask
+    return {l for l, bit in enumerate(reversed(bin(lengths[t0]))) if bit == "1"}
 
 
 def brute_force_members(base, bound, max_terms=10):
@@ -223,7 +269,7 @@ class TestEnumeration:
             (B32, F(339, 32), 25, 21),
             (RationalBase(5, 3), F(125), 443, 10626),
         ):
-            for oracle, states in ((enumerate_length_set, dp_states), (enumerate_factorizations, search_states)):
+            for oracle, states in ((enumerate_length_set_dp, dp_states), (enumerate_factorizations, search_states)):
                 oracle(base, x, cap=states)
                 with pytest.raises(OracleBudgetExceeded):
                     oracle(base, x, cap=states - 1)
@@ -233,7 +279,7 @@ class TestEnumeration:
             for k in (1, 2):
                 x = F(base.a**k)
                 lengths = {z.length() for z in enumerate_factorizations(base, x)}
-                assert enumerate_length_set(base, x) == lengths
+                assert enumerate_length_set_dp(base, x) == lengths
 
 
 class TestLengthStats:
@@ -257,6 +303,22 @@ class TestLengthStats:
         stats = length_stats(RationalBase(2, 1), F(9), want_full_set=True)
         assert (stats.min_len, stats.max_len, stats.elasticity) == (9, 9, F(1))
         assert stats.length_set == (9,)
+
+    def test_length_set_spends_one_state_per_length(self):
+        assert length_stats(B32, F(9), want_full_set=True, cap=7).length_set == (3, 4, 5, 6, 7, 8, 9)
+        with pytest.raises(OracleBudgetExceeded):
+            length_stats(B32, F(9), want_full_set=True, cap=6)
+
+    def test_enumerate_length_set_contract(self):
+        assert enumerate_length_set(B32, F(9)) == {3, 4, 5, 6, 7, 8, 9}
+        assert enumerate_length_set(B32, F(0)) == {0}
+        assert enumerate_length_set(B32, F(1, 2)) == set()
+        assert enumerate_length_set(RationalBase(2, 1), F(9)) == {9}
+        assert enumerate_length_set(RationalBase(2, 1), F(9, 2)) == set()
+        with pytest.raises(ValueError):
+            enumerate_length_set(B32, F(-1))
+        with pytest.raises(OracleBudgetExceeded):
+            enumerate_length_set(B32, F(9), cap=6)
 
     def test_supplied_presentation_skips_membership(self):
         # The membership witness that length_stats reports is the up normal
@@ -287,7 +349,7 @@ class TestMoveProperties:
     def test_lengths_congruent_mod_gap(self):
         for base in BASES:
             for k in (1, 2):
-                lengths = sorted(enumerate_length_set(base, F(base.a**k)))
+                lengths = sorted(enumerate_length_set_dp(base, F(base.a**k)))
                 gap = base.a - base.b
                 assert all((l - lengths[0]) % gap == 0 for l in lengths)
 
@@ -313,7 +375,7 @@ class TestMoveProperties:
         for base in BASES:
             for k in (1, 2, 3):
                 x = F(base.a**k)
-                lengths = enumerate_length_set(base, x)
+                lengths = enumerate_length_set_dp(base, x)
                 stats = length_stats(base, x)
                 assert stats.min_len == min(lengths)
                 assert stats.max_len == max(lengths)
@@ -321,13 +383,13 @@ class TestMoveProperties:
                 assert stats.max_len == base.a**k
 
     def test_length_set_gaps_observation(self):
-        # Observation, not a theorem: on every instance tried here the
-        # length set is the full arithmetic progression with step a-b.
-        # A failure would be a recorded gap, which would be news.
+        # The length set is the full arithmetic progression with step a-b,
+        # proved in the semiring module docstring; the exhaustive DP checks
+        # it here independently of the normal forms.
         for base in BASES:
             gap = base.a - base.b
             for x in (F(base.a), F(base.a**2), F(base.a**3), F(base.a**2 + 1)):
-                lengths = sorted(enumerate_length_set(base, x))
+                lengths = sorted(enumerate_length_set_dp(base, x))
                 progression = list(range(lengths[0], lengths[-1] + 1, gap))
                 assert lengths == progression, f"gap observed in L({x}) at q={base}: {lengths}"
 
@@ -379,4 +441,27 @@ def test_membership_witness_is_up_normal_form(base, terms):
 @settings(max_examples=60, deadline=None)
 def test_length_set_matches_enumerated_lengths(base, terms):
     x = NatPoly(terms).eval(base.q)
-    assert enumerate_length_set(base, x) == {z.length() for z in enumerate_factorizations(base, x)}
+    assert enumerate_length_set_dp(base, x) == {z.length() for z in enumerate_factorizations(base, x)}
+
+
+@given(
+    st.sampled_from(BASES),
+    st.dictionaries(
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=1, max_value=8),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(min_value=1, max_value=400),
+)
+@settings(max_examples=80, deadline=None)
+def test_closed_form_succeeds_wherever_the_dp_does(base, terms, cap):
+    # No input that the DP answers within a cap fails or changes under the
+    # closed form at the same cap.
+    x = NatPoly(terms).eval(base.q)
+    try:
+        lengths = enumerate_length_set_dp(base, x, cap=cap)
+    except OracleBudgetExceeded:
+        return
+    assert set(length_stats(base, x, want_full_set=True, cap=cap).length_set) == lengths
+    assert enumerate_length_set(base, x, cap=cap) == lengths
