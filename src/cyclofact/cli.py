@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -46,6 +47,8 @@ EXIT_DOMAIN_ERROR = 1
 EXIT_BUDGET = 2
 
 ORACLE_CAP_ENV = "CYCLOFACT_ORACLE_CAP"
+# member takes --oracle-cap but spends none, so only these read the variable.
+ORACLE_CAP_READERS = ("factorize", "lengths", "elasticity-scan")
 
 
 class CliError(Exception):
@@ -193,7 +196,10 @@ def _cmd_factorize(args) -> dict:
 
 def _cmd_lengths(args) -> dict:
     base = _element_base(args)
-    stats = length_stats(base, args.value, want_full_set=args.enumerate, cap=args.oracle_cap)
+    try:
+        stats = length_stats(base, args.value, want_full_set=args.enumerate, cap=args.oracle_cap)
+    except NotInMonoidError as exc:
+        raise NotInMonoidError(f"--value: {exc}") from None
     doc = {
         "q": str(base),
         "value": format_rat(args.value),
@@ -227,14 +233,15 @@ def _cmd_construct_elasticity(args) -> dict:
 
 def write_scan_csv(scan, stream: TextIO) -> None:
     """Write an elasticity scan as CSV rows followed by its manifest row."""
-    stream.write("value_num,value_den,min_len,max_len,elasticity\n")
-    for row in scan.rows:
-        stream.write(
-            f"{row.value.numerator},{row.value.denominator},"
-            f"{row.min_len},{row.max_len},{format_rat(row.elasticity)}\n"
-        )
+    scale = scan.scale
+    lines = ["value_num,value_den,min_len,max_len,elasticity\n"]
+    for value, low, high in scan.forms:
+        g, h = math.gcd(value, scale), math.gcd(high, low)
+        ratio = str(high // h) if h == low else f"{high // h}/{low // h}"
+        lines.append(f"{value // g},{scale // g},{low},{high},{ratio}\n")
     status = "complete" if scan.complete else "partial"
-    stream.write(f"# manifest: {status} rows={len(scan.rows)}\n")
+    lines.append(f"# manifest: {status} rows={len(scan.forms)}\n")
+    stream.write("".join(lines))
 
 
 def _cmd_elasticity_scan(args) -> None:
@@ -315,7 +322,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if "oracle_cap" in args and args.oracle_cap is None:
+        if args.subcommand in ORACLE_CAP_READERS and args.oracle_cap is None:
             args.oracle_cap = _default_oracle_cap()
         doc = COMMANDS[args.subcommand](args)
     except (OracleBudgetExceeded, ScanCapExceeded) as exc:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -475,14 +476,21 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ElasticityScan:
-    rows: tuple[ScanRow, ...]
+    """Scan rows as integer triples (value * scale, min length, max length)."""
+
+    scale: int
+    forms: tuple[tuple[int, int, int], ...]
     complete: bool
+
+    @cached_property
+    def rows(self) -> tuple[ScanRow, ...]:
+        return tuple(ScanRow(Fraction(v, self.scale), lo, hi, Fraction(hi, lo)) for v, lo, hi in self.forms)
 
 
 def _canonical_forms(
     base: RationalBase, bound: Fraction, budget: int
-) -> tuple[list[tuple[Fraction, int, int]], bool]:
-    """([(x, min length, max length)] sorted by x, complete) over the elements x <= bound.
+) -> tuple[int, list[tuple[int, int, int]], bool]:
+    """(b^E, [(x b^E, min length, max length)] sorted by x, complete) over the elements x <= bound.
 
     Each x has exactly one factorization sum d_i q^i with all d_i < a, and
     i <= E = max_atom_exponent(bound).  The strings are grown from d_E down in
@@ -511,7 +519,7 @@ def _canonical_forms(
         complete = complete and len(longer) <= budget
         prefixes = longer[:budget]
     prefixes.sort()
-    return [(Fraction(value, scale), low, high) for value, low, _, high in prefixes], complete
+    return scale, [(value, low, high) for value, low, _, high in prefixes], complete
 
 
 def monoid_elements_up_to(
@@ -522,8 +530,8 @@ def monoid_elements_up_to(
     Past `budget` elements, only those of the first `budget` canonical digit
     strings in lexicographic order from the top digit (see elasticity_scan).
     """
-    forms, complete = _canonical_forms(base, bound, budget)
-    return [value for value, _, _ in forms], complete
+    scale, forms, complete = _canonical_forms(base, bound, budget)
+    return [Fraction(value, scale) for value, _, _ in forms], complete
 
 
 def elasticity_scan(
@@ -531,9 +539,11 @@ def elasticity_scan(
 ) -> ElasticityScan:
     """Tabulate (x, min, max, elasticity) over all elements up to the bound.
 
-    Rows are sorted by value.  An element's canonical digit string is its up
-    normal form: the digit sum is the minimum length, and the down normal
-    form, carried down the same digit walk, gives the maximum.  Past
+    The scan keeps each nonzero element as the integers (x b^E, min, max),
+    sorted by value, with the scale b^E; its rows build the Fraction value
+    and elasticity only when read.  An element's canonical digit string is
+    its up normal form: the digit sum is the minimum length, and the down
+    normal form, carried down the same digit walk, gives the maximum.  Past
     `budget` elements (zero counted) the scan is partial: its budget - 1 rows
     are the nonzero elements whose strings d_E..d_0 (E the top exponent under
     the bound) come first in lexicographic order, i.e. those with zero high
@@ -541,6 +551,5 @@ def elasticity_scan(
     """
     if base.is_integer:
         raise ValueError("the density scan requires a non-integer base")
-    forms, complete = _canonical_forms(base, value_bound, budget)
-    rows = (ScanRow(value, low, high, Fraction(high, low)) for value, low, high in forms[1:])
-    return ElasticityScan(tuple(rows), complete)
+    scale, forms, complete = _canonical_forms(base, value_bound, budget)
+    return ElasticityScan(scale, tuple(forms[1:]), complete)

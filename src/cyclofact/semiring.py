@@ -36,7 +36,21 @@ sum n_i q^i of x has i <= top (the largest e with q^e <= x), so
 t_0 = x * b^top must be an integer.  Level i carries the residual t_i and
 the weight w_i = b^(top-i), and t_(i+1) = (t_i - n_i w_i) / a; so
 n_i w_i <= t_i, n_i = t_i / w_i (mod a), and the top digit is t_top itself.
-Membership takes the least, forced, digit at every level in one pass.
+Membership takes the least, forced, digit at every level: x is a member iff
+the residual past level top is 0.  A negative residual stays negative, since
+t_(i+1) <= t_i / a, so it needs no check of its own.
+
+The forced digits at levels < m depend only on t_0 mod a^m: t_i mod a fixes
+n_i, and t_i mod a^(m-i) fixes t_(i+1) mod a^(m-i-1).  So member_witness
+splits the L = top+1 levels at m = L // 2.  With c = b^(L-m), the common
+factor of the low weights, the low digits are those of the m-level ladder on
+low = t_0 c^-1 mod a^m.  If that ladder ends at residual R, its digits give
+S = sum n_i a^i b^(m-1-i) = low - a^m R, and t_m = (t_0 - c S) / a^m
+exactly; the upper L-m levels are the ladder on t_m.  Recursing on both
+halves down to a few dozen levels (depth log2 L) replaces L full-width steps
+with big-number products of the halves' sizes.  This is the rational base
+numeration of Akiyama, Frougny & Sakarovitch (Israel J. Math. 168, 2008),
+read a-adically.
 
 For integer q (b = 1) the monoid is all of the nonnegative integers, a UFM:
 the single factorization of x is x copies of the atom 1, and every operation
@@ -56,6 +70,10 @@ from typing import Iterator, Optional
 from .polynomials import NatPoly
 
 DEFAULT_ORACLE_CAP = 10**6
+# No ladder is built on integers past this many bits (see max_atom_exponent).
+MAX_LADDER_BITS = 2**28
+# member_witness splits ladders of more levels than this in two.
+_SPLIT_LEVELS = 32
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -120,6 +138,8 @@ def max_atom_exponent(base: RationalBase, x: Fraction) -> int:
 
     A float estimate of log_q x, corrected on integers to the e with
     a^e den <= num b^e and a^(e+1) den > num b^(e+1), where x = num/den.
+    Raises OracleBudgetExceeded, before any power is taken, when the
+    estimate puts a^e or num b^e past MAX_LADDER_BITS.
     """
     x = Fraction(x)
     num, den = x.numerator, x.denominator
@@ -127,6 +147,11 @@ def max_atom_exponent(base: RationalBase, x: Fraction) -> int:
         return -1
     a, b = base.a, base.b
     e = int(_log_ratio(num, den) / _log_ratio(a, b))
+    bits = max(e * math.log2(a), num.bit_length() + e * math.log2(b))
+    if bits > MAX_LADDER_BITS:
+        raise OracleBudgetExceeded(
+            f"q^e <= {x} at q={base} needs e near {e}: about {bits:.3g} bits, past the limit of {MAX_LADDER_BITS}"
+        )
     up, down = a**e, b**e
     while up * den > num * down:
         e, up, down = e - 1, up // a, down // b
@@ -142,24 +167,24 @@ def _integer_witness(x: Fraction) -> Optional[NatPoly]:
     return NatPoly({0: n}) if n else NatPoly.zero()
 
 
-def _ladder(base: RationalBase, x: Fraction) -> Optional[tuple[int, Iterator[tuple[int, int]]]]:
-    """(t_0, rungs (w_i, w_i^-1 mod a) for levels 0..top), or None if x < 1 or t_0 is fractional."""
-    a, b = base.a, base.b
+def _ladder(base: RationalBase, x: Fraction) -> Optional[tuple[int, int]]:
+    """(t_0, top) of x's digit ladder, or None if x < 1 or t_0 is fractional."""
     top = max_atom_exponent(base, x)
     if top < 0:
         return None
-    scaled = x * b**top
-    if scaled.denominator != 1:
+    weight = base.b**top
+    if weight % x.denominator:
         return None
+    return x.numerator * (weight // x.denominator), top
 
-    def rungs() -> Iterator[tuple[int, int]]:
-        weight, inverse = b**top, pow(b, -top, a)
-        for _ in range(top + 1):
-            yield weight, inverse
-            weight //= b
-            inverse = inverse * b % a
 
-    return scaled.numerator, rungs()
+def _rungs(a: int, b: int, levels: int) -> Iterator[tuple[int, int]]:
+    """(w, w^-1 mod a) for the weights w = b^(levels-1), ..., b, 1 of a ladder."""
+    weight, inverse = b ** (levels - 1), pow(b, 1 - levels, a)
+    for _ in range(levels):
+        yield weight, inverse
+        weight //= b
+        inverse = inverse * b % a
 
 
 def _steps(a: int, t: int, weight: int, inverse: int) -> Iterator[tuple[int, int]]:
@@ -167,12 +192,31 @@ def _steps(a: int, t: int, weight: int, inverse: int) -> Iterator[tuple[int, int
     return ((n, (t - n * weight) // a) for n in range(t % a * inverse % a, t // weight + 1, a))
 
 
+def _forced_digits(a: int, b: int, t: int, levels: int, digits: dict[int, int], offset: int) -> int:
+    """The residual left after `levels` levels from t, with the nonzero forced
+    digits put into digits at level + offset; ladders of more than
+    _SPLIT_LEVELS levels are split in two (module docstring)."""
+    if levels > _SPLIT_LEVELS:
+        m = levels // 2
+        am, c = a**m, b ** (levels - m)
+        low = t % am * pow(c, -1, am) % am
+        s = low - am * _forced_digits(a, b, low, m, digits, offset)
+        return _forced_digits(a, b, (t - c * s) // am, levels - m, digits, offset + m)
+    for level, (weight, inverse) in enumerate(_rungs(a, b, levels), offset):
+        n = t % a * inverse % a
+        t = (t - n * weight) // a
+        if n:
+            digits[level] = n
+    return t
+
+
 def member_witness(base: RationalBase, x: Fraction) -> Optional[NatPoly]:
     """Witness factorization of x, or None when x is not in the monoid.
 
     The returned witness is the canonical sub-a digit representation, i.e.
-    already the minimum-length factorization.  Walks the forced digit of
-    each level of the ladder once; no search is involved.
+    already the minimum-length factorization.  Reads the forced digit of
+    each level of the ladder, splitting long ladders in two; no search is
+    involved.
     """
     x = Fraction(x)
     if x < 0:
@@ -184,20 +228,9 @@ def member_witness(base: RationalBase, x: Fraction) -> Optional[NatPoly]:
     ladder = _ladder(base, x)
     if ladder is None:
         return None
-    a = base.a
-    t, rungs = ladder
+    t, top = ladder
     digits: dict[int, int] = {}
-    for level, (weight, inverse) in enumerate(rungs):
-        n = t % a * inverse % a
-        t -= n * weight
-        if t < 0:
-            return None
-        t //= a
-        if n:
-            digits[level] = n
-        if t == 0:
-            break
-    if t != 0:
+    if _forced_digits(base.a, base.b, t, top + 1, digits, 0):
         return None
     return NatPoly(digits)
 
@@ -341,9 +374,8 @@ def iter_factorizations(
     if ladder is None:
         return
     a = base.a
-    t0, rungs = ladder
-    rungs = list(rungs)
-    top = len(rungs) - 1
+    t0, top = ladder
+    rungs = list(_rungs(a, base.b, top + 1))
     budget = Budget(cap)
     # stack[i] holds the untried (digit at level i-1, residual) nodes of level
     # i; path[i] is the digit taken at level i on the way to the current node.

@@ -1,4 +1,5 @@
 import json
+import resource
 import runpy
 import subprocess
 import sys
@@ -139,12 +140,53 @@ def test_malformed_env_cap_only_breaks_commands_with_an_oracle_cap(capsys, monke
         ("omega-interval", "--q", "3/2", "--atom", "4/3"),
         ("antiprime", "--q", "2/3", "--k", "0", "--K", "2"),
         ("construct-elasticity", "--q", "3/2", "--target", "5/3"),
+        ("member", "--q", "3/2", "--value", "9"),  # takes --oracle-cap, spends none
     ):
         run_json(capsys, *argv)
-    code, out, err = run_cli(capsys, "lengths", "--q", "3/2", "--value", "9")
-    assert code == EXIT_DOMAIN_ERROR
-    assert "CYCLOFACT_ORACLE_CAP" in json.loads(err)["error"]["message"]
-    assert not out
+    for argv in (
+        ("factorize", "--q", "3/2", "--value", "9"),
+        ("lengths", "--q", "3/2", "--value", "9"),
+        ("elasticity-scan", "--q", "3/2", "--bound", "4"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_DOMAIN_ERROR
+        assert "CYCLOFACT_ORACLE_CAP" in json.loads(err)["error"]["message"]
+        assert not out
+
+
+def test_non_member_value_names_the_flag(capsys):
+    messages = []
+    for sub in ("factorize", "lengths"):
+        code, out, err = run_cli(capsys, sub, "--q", "3/2", "--value", "1/2")
+        assert code == EXIT_DOMAIN_ERROR and not out
+        messages.append(json.loads(err)["error"])
+    assert messages[0] == messages[1] == {
+        "type": "NotInMonoidError",
+        "message": "--value: 1/2 is not an element of the monoid at q=3/2",
+    }
+
+
+def test_bases_near_one_exit_2_before_building_the_ladder():
+    # q = 1 + 10^-9 puts about 6.9*10^8 levels under 2, on integers of about
+    # 2*10^10 bits: the size check must refuse them before any power is taken.
+    # A subprocess with a timeout, so that a regression fails instead of hanging.
+    for argv in (
+        ("member", "--q", "1000000001/1000000000", "--value", "2"),
+        ("elasticity-scan", "--q", "1000000001/1000000000", "--bound", "2"),
+    ):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclofact.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == EXIT_BUDGET, proc.stderr
+        assert json.loads(proc.stderr)["error"]["type"] == "OracleBudgetExceeded"
+        assert not proc.stdout
+        assert elapsed < 1.0, elapsed
 
 
 def test_construct_elasticity_document(capsys):

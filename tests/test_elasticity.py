@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction as F
 
@@ -5,7 +6,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from cyclofact.cli import write_scan_csv
 from cyclofact.elasticity import (
+    DEFAULT_ELEMENT_BUDGET,
     ElasticityTarget,
     ScanCapExceeded,
     construct_elasticity,
@@ -17,6 +20,7 @@ from cyclofact.elasticity import (
 )
 from cyclofact.minimal_pair import minimal_pair_of_rational
 from cyclofact.polynomials import NatPoly, parse_polynomial
+from cyclofact.rationals import format_rat, parse_rat
 from cyclofact.semiring import (
     RationalBase,
     down_normal_form,
@@ -290,6 +294,34 @@ class TestElasticityScan:
                 for row in scan.rows:
                     st = length_stats(base, row.value)
                     assert (row.min_len, row.max_len, row.elasticity) == (st.min_len, st.max_len, st.elasticity)
+
+
+def scan_csv_reference(scan):
+    """The scan CSV written from scan.rows, one format_rat per Fraction."""
+    lines = ["value_num,value_den,min_len,max_len,elasticity\n"]
+    for row in scan.rows:
+        lines.append(
+            f"{row.value.numerator},{row.value.denominator},"
+            f"{row.min_len},{row.max_len},{format_rat(row.elasticity)}\n"
+        )
+    status = "complete" if scan.complete else "partial"
+    lines.append(f"# manifest: {status} rows={len(scan.rows)}\n")
+    return "".join(lines)
+
+
+# The benchmark's scan bases, each with a bound of about 400 elements.
+SCAN_BOUNDS = {"3/2": "20", "5/3": "19", "7/4": "19", "5/2": "111/2", "7/5": "23/2", "8/5": "31/2"}
+
+
+def test_scan_csv_matches_the_fraction_rows():
+    for q, bound in SCAN_BOUNDS.items():
+        base = RationalBase.from_rational(parse_rat(q))
+        for budget in (DEFAULT_ELEMENT_BUDGET, 100, 7):
+            scan = elasticity_scan(base, parse_rat(bound), budget)
+            assert scan.complete == (budget == DEFAULT_ELEMENT_BUDGET)
+            out = io.StringIO()
+            write_scan_csv(scan, out)
+            assert out.getvalue() == scan_csv_reference(scan), (q, budget)
 
 
 def test_target_validation():

@@ -13,7 +13,9 @@ from cyclofact.semiring import (
     NotInMonoidError,
     OracleBudgetExceeded,
     RationalBase,
+    _SPLIT_LEVELS,
     _ladder,
+    _rungs,
     _steps,
     apply_down_move,
     apply_up_move,
@@ -65,8 +67,8 @@ def enumerate_length_set_dp(base, x, cap=10**6):
     if ladder is None:
         return set()
     a = base.a
-    t0, rungs = ladder
-    rungs = list(rungs)[:-1]
+    t0, top = ladder
+    rungs = list(_rungs(a, base.b, top + 1))[:-1]
     budget = Budget(cap)
     levels = [{t0}]
     for rung in rungs:
@@ -88,6 +90,34 @@ def enumerate_length_set_dp(base, x, cap=10**6):
                 mask |= below[child] << n
             lengths[t] = mask
     return {l for l, bit in enumerate(reversed(bin(lengths[t0]))) if bit == "1"}
+
+
+def member_witness_walk(base, x):
+    """Reference for member_witness: the forced digit of one level at a time.
+
+    t_0 = x b^top, and level i (weight b^(top-i)) takes the digit
+    n = t_i / b^(top-i) mod a and leaves t_(i+1) = (t_i - n b^(top-i)) / a;
+    x is a member iff no residual goes negative and the last one is 0.
+    """
+    x = F(x)
+    if x == 0:
+        return NatPoly.zero()
+    a, b = base.a, base.b
+    top = max_atom_exponent(base, x)
+    if top < 0 or (x * b**top).denominator != 1:
+        return None
+    t = int(x * b**top)
+    digits = {}
+    for i in range(top + 1):
+        weight = b ** (top - i)
+        n = t * pow(weight, -1, a) % a
+        t -= n * weight
+        if t < 0:
+            return None
+        t //= a
+        if n:
+            digits[i] = n
+    return NatPoly(digits) if t == 0 else None
 
 
 def brute_force_members(base, bound, max_terms=10):
@@ -142,6 +172,47 @@ class TestMembership:
         base = RationalBase(2, 1)
         assert member_witness(base, F(9)) == NatPoly({0: 9})
         assert member_witness(base, F(9, 2)) is None
+
+
+DC_BASES = [RationalBase(3, 2), RationalBase(5, 3), RationalBase(7, 5), RationalBase(8, 5), RationalBase(5, 2)]
+
+
+@st.composite
+def ladders(draw):
+    """(base, x, digits) with a level count drawn around the split or up to 300.
+
+    Either x is the member with the drawn sub-a digits below a nonzero digit
+    at levels-1 (digits is then its up normal form), or x = n/b^(levels-1)
+    with q^(levels-1) <= x < q^levels, so exactly `levels` levels, a member
+    or a non-member whose denominator is a power of b (digits is None).
+    """
+    base = draw(st.sampled_from(DC_BASES))
+    a, b = base.a, base.b
+    levels = draw(
+        st.one_of(
+            st.integers(_SPLIT_LEVELS - 2, _SPLIT_LEVELS + 2),
+            st.integers(2 * _SPLIT_LEVELS - 1, 2 * _SPLIT_LEVELS + 3),
+            st.integers(1, 300),
+        )
+    )
+    if draw(st.booleans()):
+        low = draw(st.integers(0, a ** (levels - 1) - 1))
+        digits = {i: low // a**i % a for i in range(levels - 1)}
+        digits[levels - 1] = draw(st.integers(1, a - 1))
+        z = NatPoly(digits)
+        return base, z.eval(base.q), z
+    n = draw(st.integers(a ** (levels - 1), -(-(a**levels) // b) - 1))
+    return base, F(n, b ** (levels - 1)), None
+
+
+@given(ladders())
+@settings(max_examples=400, deadline=None)
+def test_member_witness_matches_the_level_walk(case):
+    base, x, digits = case
+    witness = member_witness(base, x)
+    assert witness == member_witness_walk(base, x)
+    if digits is not None:
+        assert witness == digits
 
 
 class TestMaxAtomExponent:
