@@ -100,44 +100,6 @@ def _default_oracle_cap() -> int:
     return cap
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="cyclofact", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("minimal-pair", help="minimal pair of a monic polynomial or a rational")
-    p.add_argument("polynomial", nargs="?", help='polynomial string, e.g. "X^2 - 3X + 1"')
-    p.add_argument("--rational", type=_rational, help="positive rational, e.g. 3/2")
-
-    for name in ("member", "factorize", "lengths"):
-        p = sub.add_parser(name)
-        p.add_argument("--q", type=_rational, required=True, help="base q = a/b")
-        p.add_argument("--value", type=_rational, required=True, help="element value")
-        if name != "member":
-            p.add_argument("--enumerate", action="store_true", help="run the exhaustive oracle")
-        p.add_argument("--oracle-cap", type=_positive_int, help="enumeration state budget")
-
-    p = sub.add_parser("construct-elasticity")
-    p.add_argument("--q", type=_rational, required=True)
-    p.add_argument("--target", type=_rational, required=True, help="target ratio s/t >= 1")
-    p.add_argument("--scan-cap", type=_positive_int, default=DEFAULT_SCAN_CAP)
-
-    p = sub.add_parser("elasticity-scan")
-    p.add_argument("--q", type=_rational, required=True)
-    p.add_argument("--bound", type=_rational, required=True, help="enumerate elements up to this value")
-    p.add_argument("--out", help="CSV output path (stdout when omitted)")
-    p.add_argument("--oracle-cap", type=_positive_int, help="element discovery budget")
-
-    p = sub.add_parser("omega-interval")
-    p.add_argument("--q", type=_rational, required=True, help="rational in (1, 2)")
-    p.add_argument("--atom", type=_rational, required=True, help="atom in [1, q]")
-
-    p = sub.add_parser("antiprime")
-    p.add_argument("--q", type=_rational, required=True, help="rational in (0, 1)")
-    p.add_argument("--k", type=_nonneg_int, required=True, help="atom power")
-    p.add_argument("--K", type=_positive_int, required=True, help="lower bound to beat")
-    return parser
-
-
 def _base_for(q: Fraction, flag: str = "--q") -> RationalBase:
     if q <= 1:
         raise CliError(f"{flag}: factorization commands require q > 1, got {format_rat(q)}")
@@ -302,29 +264,77 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
 
 
+_ELEMENT = [
+    ("--q", {"type": _rational, "required": True, "help": "base q = a/b"}),
+    ("--value", {"type": _rational, "required": True, "help": "element value"}),
+]
+_ENUMERATE = ("--enumerate", {"action": "store_true", "help": "run the exhaustive oracle"})
+_STATE_CAP = ("--oracle-cap", {"type": _positive_int, "help": "enumeration state budget"})
+
+# name -> (handler, add_parser keywords, [(flag, add_argument keywords)]), in help order
 COMMANDS = {
-    "minimal-pair": _cmd_minimal_pair,
-    "member": _cmd_member,
-    "factorize": _cmd_factorize,
-    "lengths": _cmd_lengths,
-    "construct-elasticity": _cmd_construct_elasticity,
-    "elasticity-scan": _cmd_elasticity_scan,
-    "omega-interval": _cmd_omega_interval,
-    "antiprime": _cmd_antiprime,
+    "minimal-pair": (_cmd_minimal_pair, {"help": "minimal pair of a monic polynomial or a rational"}, [
+        ("polynomial", {"nargs": "?", "help": 'polynomial string, e.g. "X^2 - 3X + 1"'}),
+        ("--rational", {"type": _rational, "help": "positive rational, e.g. 3/2"}),
+    ]),
+    "member": (_cmd_member, {}, [*_ELEMENT, _STATE_CAP]),
+    "factorize": (_cmd_factorize, {}, [*_ELEMENT, _ENUMERATE, _STATE_CAP]),
+    "lengths": (_cmd_lengths, {}, [*_ELEMENT, _ENUMERATE, _STATE_CAP]),
+    "construct-elasticity": (_cmd_construct_elasticity, {}, [
+        ("--q", {"type": _rational, "required": True}),
+        ("--target", {"type": _rational, "required": True, "help": "target ratio s/t >= 1"}),
+        ("--scan-cap", {"type": _positive_int, "default": DEFAULT_SCAN_CAP}),
+    ]),
+    "elasticity-scan": (_cmd_elasticity_scan, {}, [
+        ("--q", {"type": _rational, "required": True}),
+        ("--bound", {"type": _rational, "required": True, "help": "enumerate elements up to this value"}),
+        ("--out", {"help": "CSV output path (stdout when omitted)"}),
+        ("--oracle-cap", {"type": _positive_int, "help": "element discovery budget"}),
+    ]),
+    "omega-interval": (_cmd_omega_interval, {}, [
+        ("--q", {"type": _rational, "required": True, "help": "rational in (1, 2)"}),
+        ("--atom", {"type": _rational, "required": True, "help": "atom in [1, q]"}),
+    ]),
+    "antiprime": (_cmd_antiprime, {}, [
+        ("--q", {"type": _rational, "required": True, "help": "rational in (0, 1)"}),
+        ("--k", {"type": _nonneg_int, "required": True, "help": "atom power"}),
+        ("--K", {"type": _positive_int, "required": True, "help": "lower bound to beat"}),
+    ]),
 }
 
 
+def build_parser(only: Optional[str] = None) -> _Parser:
+    """The parser of every subcommand, or of the subcommand ``only`` alone."""
+    parser = _Parser(prog="cyclofact", description=__doc__.splitlines()[0])
+    # Given the prog, argparse does not format a usage line to derive it.
+    sub = parser.add_subparsers(dest="subcommand", required=True, prog="cyclofact")
+    for name, (_, options, arguments) in COMMANDS.items():
+        if only is None or name == only:
+            p = sub.add_parser(name, **options)
+            for flag, spec in arguments:
+                p.add_argument(flag, **spec)
+    return parser
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one call (``sys.argv[1:]`` when ``argv`` is None); return its exit code.
+
+    Only the subparser that ``argv[0]`` names is built. Any other first
+    argument, or none, builds the whole tree, so the top-level help and the
+    invalid-choice message still list every subcommand.
+    """
     # Certificates carry integers of thousands of digits, and the documents
     # must re-parse in the calling process: the limit stays lifted.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.subcommand in ORACLE_CAP_READERS and args.oracle_cap is None:
             args.oracle_cap = _default_oracle_cap()
-        doc = COMMANDS[args.subcommand](args)
+        doc = COMMANDS[args.subcommand][0](args)
     except (OracleBudgetExceeded, ScanCapExceeded) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_BUDGET

@@ -7,7 +7,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from cyclofact.cli import EXIT_BUDGET, EXIT_DOMAIN_ERROR, EXIT_OK, main
+import pytest
+
+import cyclofact.cli as cli
+from cyclofact.cli import COMMANDS, EXIT_BUDGET, EXIT_DOMAIN_ERROR, EXIT_OK, CliError, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -313,3 +316,84 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["member"] is True
+
+
+VALID_ARGV = {
+    "minimal-pair": ["--rational", "3/2"],
+    "member": ["--q", "3/2", "--value", "13/4"],
+    "factorize": ["--q", "3/2", "--value", "9", "--enumerate"],
+    "lengths": ["--q", "3/2", "--value", "9", "--oracle-cap", "7"],
+    "construct-elasticity": ["--q", "3/2", "--target", "5/3"],
+    "elasticity-scan": ["--q", "3/2", "--bound", "20", "--out", "scan.csv"],
+    "omega-interval": ["--q", "3/2", "--atom", "5/4"],
+    "antiprime": ["--q", "2/3", "--k", "0", "--K", "10"],
+}
+
+
+def parse_outcome(parser, argv, capsys):
+    """The Namespace, CliError message or help exit of one parse, with its output."""
+    try:
+        outcome = ("namespace", vars(parser.parse_args(argv)))
+    except CliError as exc:
+        outcome = ("error", str(exc))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_single_subcommand_parser_parses_like_the_full_tree(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    flag = next(flag for flag, _ in COMMANDS[name][2] if flag.startswith("--"))  # a rational flag
+    valid = VALID_ARGV[name]
+    argvs = [
+        [name, "--help"],
+        [name],
+        [name, *valid],
+        [name, flag],
+        [name, flag, "x/y"],
+        [name, *valid, "--bogus"],
+        [name, *valid, "extra"],
+        [name, *valid[:2], "-h"],
+        [name, "--", flag],
+    ]
+    for argv in argvs:
+        single = parse_outcome(build_parser(name), argv, capsys)
+        assert single == parse_outcome(build_parser(), argv, capsys), argv
+    help_outcome, help_output = parse_outcome(build_parser(name), [name, "--help"], capsys)
+    assert help_outcome == ("exit", 0)
+    assert help_output.out.startswith(f"usage: cyclofact {name} [-h]")
+    with pytest.raises(CliError, match=rf"\(choose from {name!r}\)$"):
+        build_parser(name).parse_args(["no-such-command"])
+
+
+def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or build_parser(only))
+    assert run_cli(capsys, "member", "--q", "3/2", "--value", "3")[0] == EXIT_OK
+    monkeypatch.setattr(sys, "argv", ["cyclofact", "lengths", "--q", "3/2", "--value", "9"])
+    assert main() == EXIT_OK
+    capsys.readouterr()
+    assert built == ["member", "lengths"]
+
+
+def test_other_first_arguments_build_the_whole_tree(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert len(COMMANDS) == 8
+    choices = "{" + ",".join(COMMANDS) + "}"
+    choose_from = "(choose from " + ", ".join(map(repr, COMMANDS)) + ")"
+    code, out, err = run_cli(capsys)
+    assert code == EXIT_DOMAIN_ERROR
+    assert "required: subcommand" in json.loads(err)["error"]["message"]
+    for argv in (["--help"], ["-h", "member"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert choices in capsys.readouterr().out
+    code, out, err = run_cli(capsys, "bogus")
+    assert code == EXIT_DOMAIN_ERROR
+    assert json.loads(err)["error"]["message"].endswith(choose_from)
+    # The bench setup timer builds the parser with no argument: all of it.
+    with pytest.raises(CliError) as exc:
+        build_parser().parse_args(["bogus"])
+    assert str(exc.value).endswith(choose_from)
