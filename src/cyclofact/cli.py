@@ -67,24 +67,23 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"malformed rational {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """An argparse type for integers >= low, named `kind` in its error message."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+_positive_int = _int_at_least(1, "positive")
+_nonneg_int = _int_at_least(0, "nonnegative")
 
 
 def _default_oracle_cap() -> int:

@@ -23,6 +23,12 @@ modulo s-t at fixed magnitude; a materialization cap keeps certificates
 explicit.  A target that neither phase reaches within the caps raises
 ``ScanCapExceeded``.
 
+Every candidate is an integer n, and n copies of the atom 1 have no digit at
+degree >= 1, so by the uniqueness proof in the ``semiring`` docstring they
+are the down normal form: L = n, and that form is the presentation the
+forced atoms extend.  Only ell, the digit sum of the membership witness,
+takes a ladder pass; no candidate runs a normal-form pass.
+
 Density scans need no search: each element is read off its unique digit
 string with all digits below a, its up normal form (the min length); the
 down normal form's length (the max) is carried down the same digit walk.
@@ -40,10 +46,10 @@ from .algebraic import AlgebraicNumber, power_coordinates
 from .minimal_pair import MinimalPair, minimal_pair
 from .polynomials import NatPoly, RatPoly
 from .semiring import (
+    DEFAULT_ORACLE_CAP,
     Budget,
     OracleBudgetExceeded,
     RationalBase,
-    down_normal_form,
     length_stats,
     max_atom_exponent,
     member_witness,
@@ -51,7 +57,6 @@ from .semiring import (
 
 DEFAULT_SCAN_CAP = 200
 DEFAULT_MATERIALIZE_CAP = 2_000
-DEFAULT_ELEMENT_BUDGET = 10**6
 
 
 class ScanCapExceeded(RuntimeError):
@@ -349,11 +354,11 @@ class ElasticityCertificate:
             raise ValueError("tracked lengths do not realize the claimed ratio")
 
 
-def _power_stats(base: RationalBase, k: int) -> tuple[int, int]:
-    """(min_len, max_len) for a^k."""
-    witness = member_witness(base, Fraction(base.a**k))
+def _integer_min_length(base: RationalBase, n: int) -> int:
+    """The min length of the integer n >= 1: its membership witness's digit sum."""
+    witness = member_witness(base, Fraction(n))
     assert witness is not None
-    return witness.length(), base.a**k
+    return witness.length()
 
 
 def construct_elasticity(
@@ -367,8 +372,10 @@ def construct_elasticity(
     Scans powers a^k from the threshold exponent, then integer
     perturbations of a^N, for a base element whose length pair satisfies
     the divisibility condition with a materializable shift count; then adds
-    the forced atoms.  Raises ScanCapExceeded (with the partial residue
-    table) if the bounded scan finds none.
+    the forced atoms.  Each candidate is an integer n, whose max length is
+    n and whose max form is n copies of 1 (module docstring), so only its
+    min length is computed.  Raises ScanCapExceeded (with the partial
+    residue table) if the bounded scan finds none.
     """
     if base.is_integer:
         raise ValueError("the construction requires a non-integer base q = a/b, b >= 2")
@@ -383,25 +390,19 @@ def construct_elasticity(
     n_exp = max_atom_exponent(base, target.ratio) + 1
     log.append({"step": "threshold", "N": n_exp, "condition": f"q^N > {s}/{t}"})
 
-    chosen: Optional[tuple[Fraction, int, int, int, dict]] = None
+    # (n, min length of n, select log entry)
+    chosen: Optional[tuple[int, int, dict]] = None
 
     # Phase A: single powers a^k.  t*L - s*ell > 0 holds for k >= N; stop
     # once the implied shift count outgrows the materialization cap.
     for k in range(n_exp, n_exp + scan_cap):
-        ell, big_l = _power_stats(base, k)
-        score = t * big_l - s * ell
+        n = base.a**k
+        ell = _integer_min_length(base, n)
+        score = t * n - s * ell
         residue = score % d
-        log.append(
-            {"step": "scan", "k": k, "min_len": ell, "max_len": big_l, "residue": residue}
-        )
+        log.append({"step": "scan", "k": k, "min_len": ell, "max_len": n, "residue": residue})
         if residue == 0 and 0 <= score // d <= materialize_cap:
-            chosen = (
-                Fraction(base.a**k),
-                ell,
-                big_l,
-                score // d,
-                {"step": "select", "kind": "power", "indices": [k], "residue": 0},
-            )
+            chosen = (n, ell, {"step": "select", "kind": "power", "indices": [k], "residue": 0})
             break
         if score // d > materialize_cap:
             log.append({"step": "scan-stop", "reason": "shift count beyond materialization cap"})
@@ -411,15 +412,13 @@ def construct_elasticity(
     # of t*L - s*ell through the classes modulo s-t at bounded magnitude.
     if chosen is None:
         for m in range(1, scan_cap + 1):
-            x = Fraction(base.a**n_exp + m)
-            st = length_stats(base, x)
-            score = t * st.max_len - s * st.min_len
+            n = base.a**n_exp + m
+            ell = _integer_min_length(base, n)
+            score = t * n - s * ell
             if score >= 0 and score % d == 0 and score // d <= materialize_cap:
                 chosen = (
-                    x,
-                    st.min_len,
-                    st.max_len,
-                    score // d,
+                    n,
+                    ell,
                     {
                         "step": "select",
                         "kind": "perturbed-power",
@@ -437,14 +436,11 @@ def construct_elasticity(
             partial_log=log,
         )
 
-    x, ell, big_l, c, selection = chosen
-    selection = dict(selection, element=str(x.numerator), shift_count=c)
-    log.append(selection)
+    n, ell, selection = chosen
+    c = (t * n - s * ell) // d
+    log.append(dict(selection, element=str(n), shift_count=c))
 
-    witness = member_witness(base, x)
-    assert witness is not None
-    pres = down_normal_form(base, witness)
-    shifted = forced_atom_shift(base, x, pres, c)
+    shifted = forced_atom_shift(base, Fraction(n), NatPoly({0: n}), c)
     log.append(
         {
             "step": "shift",
@@ -453,7 +449,7 @@ def construct_elasticity(
         }
     )
     min_len = ell + c
-    max_len = big_l + c
+    max_len = n + c
     achieved = Fraction(max_len, min_len)
     assert achieved == target.ratio
     return ElasticityCertificate(
@@ -523,7 +519,7 @@ def _canonical_forms(
 
 
 def monoid_elements_up_to(
-    base: RationalBase, bound: Fraction, budget: int = DEFAULT_ELEMENT_BUDGET
+    base: RationalBase, bound: Fraction, budget: int = DEFAULT_ORACLE_CAP
 ) -> tuple[list[Fraction], bool]:
     """All monoid elements <= bound (zero included), sorted, and completeness.
 
@@ -535,7 +531,7 @@ def monoid_elements_up_to(
 
 
 def elasticity_scan(
-    base: RationalBase, value_bound: Fraction, budget: int = DEFAULT_ELEMENT_BUDGET
+    base: RationalBase, value_bound: Fraction, budget: int = DEFAULT_ORACLE_CAP
 ) -> ElasticityScan:
     """Tabulate (x, min, max, elasticity) over all elements up to the bound.
 

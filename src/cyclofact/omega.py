@@ -32,6 +32,7 @@ from typing import Optional
 
 from .polynomials import NatPoly
 from .rationals import rat_ceil, rat_floor, simplest_in_open
+from .semiring import RationalBase, max_atom_exponent
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,9 @@ def witness_checks(witness: OmegaWitness, q: Fraction) -> dict[str, bool]:
 def omega_lower_bound(q: Fraction, k: int, K: int) -> OmegaWitness:
     """Witness that the omega-primality of q^k exceeds K.
 
-    N is the smallest positive integer with K*q^N < q^k.  The witness is the
+    N is the smallest positive integer with K*q^N < q^k, found by
+    max_atom_exponent at the base 1/q, whose size check makes a ladder
+    past MAX_LADDER_BITS raise OracleBudgetExceeded.  The witness is the
     last link of the chain run for N-k steps, in closed form: x = a^N / b^k,
     presented as b^(N-k) X^N, with quotient sum_{j=k}^{N-1} (a-1) b^(j-k) X^j.
     The four witness_checks run once and are kept on the witness.
@@ -239,13 +242,8 @@ def omega_lower_bound(q: Fraction, k: int, K: int) -> OmegaWitness:
         raise ValueError("K must be a positive integer")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    # K*q^N < q^k  <=>  K * a^N * b^k < a^k * b^N
-    lhs, rhs = K * b**k, a**k
-    n_exp = 0
-    while not lhs < rhs:
-        n_exp += 1
-        lhs *= a
-        rhs *= b
+    # K*q^N < q^k  <=>  (b/a)^(N-k) > K: N-k is one past the top exponent of K at b/a.
+    n_exp = k + max_atom_exponent(RationalBase(b, a), Fraction(K)) + 1
     quotient = {}
     weight = a - 1  # (a-1) b^(j-k), one multiplication per level
     for j in range(k, n_exp):

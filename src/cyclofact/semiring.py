@@ -53,8 +53,11 @@ numeration of Akiyama, Frougny & Sakarovitch (Israel J. Math. 168, 2008),
 read a-adically.
 
 For integer q (b = 1) the monoid is all of the nonnegative integers, a UFM:
-the single factorization of x is x copies of the atom 1, and every operation
-short-circuits accordingly.
+the single factorization of x is x copies of the atom 1.  Membership,
+enumeration and the up normal form return it directly.  The down normal
+form and length_stats need no branch of their own: with b = 1 every down
+move carries a whole coefficient towards degree 0, so min = max = x and the
+length set is {x}.
 
 Everything here is pure and safe for concurrent use; enumeration keeps its
 search stack per call.
@@ -316,9 +319,6 @@ def down_normal_form(base: RationalBase, z: NatPoly) -> NatPoly:
     value, so the descending pass terminates; the result is the unique such
     form and the maximum-length factorization (see the module docstring).
     """
-    if base.is_integer:
-        v = z.eval(base.q)
-        return NatPoly({0: int(v)}) if v else NatPoly.zero()
     a, b = base.a, base.b
     terms = z.terms
     if not terms:
@@ -432,11 +432,6 @@ def length_stats(
     x = Fraction(x)
     if x <= 0:
         raise NotInMonoidError("length statistics require a nonzero element")
-    if base.is_integer:
-        if x.denominator != 1:
-            raise NotInMonoidError(f"{x} is not an element of the monoid at q={base}")
-        n = x.numerator
-        return LengthStats(n, n, Fraction(1), NatPoly({0: n}), (n,) if want_full_set else None)
     minimum = member_witness(base, x)
     if minimum is None:
         raise NotInMonoidError(f"{x} is not an element of the monoid at q={base}")

@@ -192,6 +192,37 @@ def test_bases_near_one_exit_2_before_building_the_ladder():
         assert elapsed < 1.0, elapsed
 
 
+def test_huge_antiprime_bound_exits_2_before_building_the_ladder():
+    # At q = 999/1000, K = 10^20000 puts N near 4.6*10^7: the threshold
+    # exponent's size check must refuse it instead of multiplying up to it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclofact.cli", "antiprime", "--q", "999/1000", "--k", "0", "--K", "1" + "0" * 20000],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+    )
+    assert proc.returncode == EXIT_BUDGET, proc.stderr[:300]
+    assert json.loads(proc.stderr)["error"]["type"] == "OracleBudgetExceeded"
+    assert not proc.stdout
+
+
+def test_integer_flag_errors(capsys):
+    for argv, message in (
+        (("member", "--q", "3/2", "--value", "3", "--oracle-cap", "0"),
+         "argument --oracle-cap: expected a positive integer, got '0'"),
+        (("construct-elasticity", "--q", "3/2", "--target", "2", "--scan-cap", "x"),
+         "argument --scan-cap: expected a positive integer, got 'x'"),
+        (("antiprime", "--q", "2/3", "--k", "-1", "--K", "3"),
+         "argument --k: expected a nonnegative integer, got '-1'"),
+        (("antiprime", "--q", "2/3", "--k", "1", "--K", "0"),
+         "argument --K: expected a positive integer, got '0'"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_DOMAIN_ERROR, "")
+        assert err == json.dumps({"error": {"type": "CliError", "message": message}}) + "\n"
+
+
 def test_construct_elasticity_document(capsys):
     doc = run_json(capsys, "construct-elasticity", "--q", "3/2", "--target", "5/3", "--scan-cap", "200")
     assert doc["achieved"] == "5/3"

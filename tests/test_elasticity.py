@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import io
 import math
 from fractions import Fraction as F
@@ -6,9 +8,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from cyclofact.cli import write_scan_csv
+from cyclofact.cli import main, write_scan_csv
 from cyclofact.elasticity import (
-    DEFAULT_ELEMENT_BUDGET,
     ElasticityTarget,
     ScanCapExceeded,
     construct_elasticity,
@@ -22,6 +23,7 @@ from cyclofact.minimal_pair import minimal_pair_of_rational
 from cyclofact.polynomials import NatPoly, parse_polynomial
 from cyclofact.rationals import format_rat, parse_rat
 from cyclofact.semiring import (
+    DEFAULT_ORACLE_CAP,
     RationalBase,
     down_normal_form,
     enumerate_factorizations,
@@ -229,6 +231,36 @@ class TestConstructElasticity:
             construct_elasticity(RationalBase(3, 1), ElasticityTarget(3, 2))
 
 
+# sha256 of the construct-elasticity stdout documents, concatenated over the
+# coprime targets s/t with 2 <= s <= 11 in (s, t) order: 41 per base.
+CERTIFICATE_DIGESTS = {
+    "3/2": "fc8b9bda509a86614a72a704c22ac783e93bd3394e33f39d0a72d26301195d77",
+    "5/3": "c67482ce4cd0d286452d76da6fe73ff312c0e4714c94c31f37795f6cb9f795ce",
+    "5/2": "a745e59f9b9107733c91ceb31b51b19cd700d963be30a5e0c3ea4e43704242ea",
+    "7/4": "c15920f2c22f2bd3846025ecb43bbecc662bf65c313fbf3df6474140895e5848",
+}
+
+
+@pytest.mark.parametrize("q", sorted(CERTIFICATE_DIGESTS))
+def test_certificate_documents_are_pinned(q):
+    digest = hashlib.sha256()
+    for target in coprime_targets(11):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["construct-elasticity", "--q", q, "--target", f"{target.s}/{target.t}"]) == 0
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == CERTIFICATE_DIGESTS[q]
+
+
+@pytest.mark.parametrize("base", GRID_BASES + [RationalBase(7, 5), RationalBase(11, 10)], ids=str)
+@given(n=st.integers(min_value=1, max_value=10**40))
+@settings(max_examples=60, deadline=None)
+def test_max_form_of_an_integer_is_copies_of_one(base, n):
+    # The fact construct_elasticity leans on: an integer's max form is n
+    # copies of the atom 1, whatever its min form.
+    assert down_normal_form(base, member_witness(base, F(n))) == NatPoly({0: n})
+
+
 class TestElasticityScan:
     def test_bound_four_table(self):
         scan = elasticity_scan(B32, F(4))
@@ -316,9 +348,9 @@ SCAN_BOUNDS = {"3/2": "20", "5/3": "19", "7/4": "19", "5/2": "111/2", "7/5": "23
 def test_scan_csv_matches_the_fraction_rows():
     for q, bound in SCAN_BOUNDS.items():
         base = RationalBase.from_rational(parse_rat(q))
-        for budget in (DEFAULT_ELEMENT_BUDGET, 100, 7):
+        for budget in (DEFAULT_ORACLE_CAP, 100, 7):
             scan = elasticity_scan(base, parse_rat(bound), budget)
-            assert scan.complete == (budget == DEFAULT_ELEMENT_BUDGET)
+            assert scan.complete == (budget == DEFAULT_ORACLE_CAP)
             out = io.StringIO()
             write_scan_csv(scan, out)
             assert out.getvalue() == scan_csv_reference(scan), (q, budget)

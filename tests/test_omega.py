@@ -16,6 +16,19 @@ from cyclofact.omega import (
 from cyclofact.rationals import rat_ceil
 
 
+def threshold_exponent_loop(q, k, K):
+    """Reference for omega_lower_bound's N: the smallest N with K*q^N < q^k,
+    multiplying up one level at a time (K * a^N * b^k < a^k * b^N)."""
+    a, b = q.numerator, q.denominator
+    lhs, rhs = K * b**k, a**k
+    n = 0
+    while not lhs < rhs:
+        n += 1
+        lhs *= a
+        rhs *= b
+    return n
+
+
 def sum_of_atoms_oracle(monoid, x):
     """Generate-and-test membership oracle for the interval monoid.
 
@@ -208,6 +221,14 @@ class TestOmegaLowerBound:
                 w = omega_lower_bound(q, k, K)
                 assert K * q**w.N < q**k
                 assert not K * q ** (w.N - 1) < q**k
+
+    def test_n_matches_the_multiply_loop(self):
+        # Near 1 the witness itself grows quadratically in N, so K stays small there.
+        for q, largest_K in ((F(2, 3), 10**6), (F(3, 5), 10**6), (F(4, 9), 10**6), (F(5, 7), 1000), (F(99, 100), 10)):
+            for k in (0, 1, 2, 5):
+                for K in (1, 2, 3, 7, 10, 64, 1000, 10**6):
+                    if K <= largest_K:
+                        assert omega_lower_bound(q, k, K).N == threshold_exponent_loop(q, k, K), (q, k, K)
 
     def test_chain_values_are_powers_of_two(self):
         for K in range(1, 11):

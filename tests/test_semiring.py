@@ -375,6 +375,25 @@ class TestLengthStats:
         assert (stats.min_len, stats.max_len, stats.elasticity) == (9, 9, F(1))
         assert stats.length_set == (9,)
 
+    @pytest.mark.parametrize("a", [2, 3, 7, 10])
+    def test_integer_bases_take_the_general_path(self, a):
+        # With b = 1 the down moves carry every coefficient to degree 0 and
+        # the length set is one length: x copies of the atom 1.
+        base = RationalBase(a, 1)
+        for n in range(1, 60):
+            stats = length_stats(base, F(n), want_full_set=True, cap=1)
+            assert (stats.min_len, stats.max_len, stats.elasticity, stats.length_set) == (n, n, F(1), (n,))
+            assert stats.min_factorization == NatPoly({0: n})
+            assert length_stats(base, F(n)).length_set is None
+        rng = random.Random(a)
+        for _ in range(200):
+            z = NatPoly({rng.randrange(6): rng.randrange(1, 9) for _ in range(rng.randrange(1, 4))})
+            assert down_normal_form(base, z) == NatPoly({0: z.eval(base.q)})
+        assert down_normal_form(base, NatPoly.zero()) == NatPoly.zero()
+        for x in (F(1, 2), F(7, 3), F(0)):
+            with pytest.raises(NotInMonoidError):
+                length_stats(base, x)
+
     def test_length_set_spends_one_state_per_length(self):
         assert length_stats(B32, F(9), want_full_set=True, cap=7).length_set == (3, 4, 5, 6, 7, 8, 9)
         with pytest.raises(OracleBudgetExceeded):
