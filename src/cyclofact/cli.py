@@ -9,6 +9,7 @@ pair lists sorted by degree, so emitted documents re-parse losslessly.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import os
@@ -239,24 +240,55 @@ def _cmd_omega_interval(args) -> dict:
     }
 
 
-def _cmd_antiprime(args) -> dict:
+# Decimal arithmetic with unbounded precision that raises instead of rounding.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+
+
+def _pairs_json(poly) -> list[str]:
+    """The pieces of ``json.dumps(poly.to_pairs(), separators=(",", ":"))``.
+
+    Converting an int to decimal is quadratic in its length, and certificate
+    quotients hold thousands of coefficients of thousands of digits, each a
+    short multiple of the one before.  A coefficient within 64 bits of the
+    previous one that divmod shows to be an exact multiple of it gets its
+    digits from the exact Decimal product; that divmod is linear, since its
+    quotient is short.  Any other coefficient is converted in full.
+    """
+    pieces = []
+    prev = exact = None
+    for deg, coeff in poly.items():
+        rem = 1
+        if prev and coeff.bit_length() - prev.bit_length() <= 64:
+            ratio, rem = divmod(coeff, prev)
+        exact = decimal.Decimal(coeff) if rem else _EXACT.multiply(exact, ratio)
+        pieces += (",[" if pieces else "[[", str(deg), ",", str(exact), "]")
+        prev = coeff
+    pieces.append("]" if pieces else "[]")
+    return pieces
+
+
+def _cmd_antiprime(args) -> None:
     if not Fraction(0) < args.q < Fraction(1):
         raise CliError(f"--q: antiprime requires 0 < q < 1, got {format_rat(args.q)}")
     witness = omega_lower_bound(args.q, args.k, args.K)
-    return {
+    x = format_rat(witness.x)  # also the certificate's dividend, as witness_checks verified
+    doc = {
         "q": format_rat(args.q),
         "k": witness.atom_power,
         "K": witness.K,
         "N": witness.N,
-        "x": format_rat(witness.x),
+        "x": x,
         "presentation": witness.x_presentation.to_pairs(),
         "certificate": {
-            "dividend": format_rat(witness.certificate.dividend),
+            "dividend": x,
             "divisor": format_rat(witness.certificate.divisor),
-            "quotient": witness.certificate.quotient_presentation.to_pairs(),
+            "quotient": "@quotient@",
         },
         "checks": {name: ("pass" if ok else "fail") for name, ok in witness.checks.items()},
     }
+    head, tail = json.dumps(doc, separators=(",", ":")).split('"@quotient@"')
+    quotient = _pairs_json(witness.certificate.quotient_presentation)
+    sys.stdout.write("".join([head, *quotient, tail, "\n"]))
 
 
 def _emit_error(kind: str, message: str) -> None:

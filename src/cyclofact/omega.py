@@ -26,13 +26,14 @@ link and is the reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .polynomials import NatPoly
 from .rationals import rat_ceil, rat_floor, simplest_in_open
-from .semiring import RationalBase, max_atom_exponent
+from .semiring import MAX_LADDER_BITS, OracleBudgetExceeded, RationalBase, max_atom_exponent
 
 
 @dataclass(frozen=True)
@@ -226,6 +227,14 @@ def witness_checks(witness: OmegaWitness, q: Fraction) -> dict[str, bool]:
     }
 
 
+def _digit_count(n: int) -> int:
+    """Decimal digits of n >= 1, without the quadratic int-to-str conversion."""
+    digits = int((n.bit_length() - 1) * math.log10(2))  # at most the true count
+    while 10**digits <= n:
+        digits += 1
+    return digits
+
+
 def omega_lower_bound(q: Fraction, k: int, K: int) -> OmegaWitness:
     """Witness that the omega-primality of q^k exceeds K.
 
@@ -243,7 +252,13 @@ def omega_lower_bound(q: Fraction, k: int, K: int) -> OmegaWitness:
     if k < 0:
         raise ValueError("k must be nonnegative")
     # K*q^N < q^k  <=>  (b/a)^(N-k) > K: N-k is one past the top exponent of K at b/a.
-    n_exp = k + max_atom_exponent(RationalBase(b, a), Fraction(K)) + 1
+    try:
+        n_exp = k + max_atom_exponent(RationalBase(b, a), Fraction(K)) + 1
+    except OracleBudgetExceeded:
+        raise OracleBudgetExceeded(
+            f"a witness of omega(q^{k}) > K at q={q}, with K of {_digit_count(K)} digits,"
+            f" needs a level N past the ladder limit of {MAX_LADDER_BITS} bits"
+        ) from None
     quotient = {}
     weight = a - 1  # (a-1) b^(j-k), one multiplication per level
     for j in range(k, n_exp):

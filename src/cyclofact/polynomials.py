@@ -97,12 +97,30 @@ class _SparsePoly:
         return max(self._terms)
 
     def eval(self, x: Fraction) -> Fraction:
-        """Exact value sum(c_i * x^i) as a reduced rational."""
+        """Exact value sum(c_i * x^i) as a reduced rational.
+
+        With x = n/d and degrees e_0 < ... < e_k the value is
+        n^e_0 * S / d^e_k, where S = sum c_i n^(e_i - e_0) d^(e_k - e_i).
+        S is merged by halves: a run lo..hi joins the next run lo'..hi' as
+        S * d^(hi' - hi) + S' * n^(lo' - lo), so large coefficients meet
+        large powers only in the last merges, and one Fraction is built at
+        the end.  The merges are exact on Fraction coefficients too.
+        """
         x = Fraction(x)
-        total = Fraction(0)
-        for deg, coeff in self._terms.items():
-            total += coeff * x**deg
-        return total
+        n, d = x.numerator, x.denominator
+        runs = [(coeff, deg, deg) for deg, coeff in sorted(self._terms.items())]
+        if not runs:
+            return Fraction(0)
+        while len(runs) > 1:
+            merged = [
+                (s * d ** (hi2 - hi) + s2 * n ** (lo2 - lo), lo, hi2)
+                for (s, lo, hi), (s2, lo2, hi2) in zip(runs[::2], runs[1::2])
+            ]
+            if len(runs) % 2:
+                merged.append(runs[-1])
+            runs = merged
+        s, lo, hi = runs[0]
+        return Fraction(n**lo * s, d**hi)
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._terms.items()))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import resource
 import runpy
@@ -7,10 +8,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import cyclofact.cli as cli
 from cyclofact.cli import COMMANDS, EXIT_BUDGET, EXIT_DOMAIN_ERROR, EXIT_OK, CliError, build_parser, main
+from cyclofact.polynomials import NatPoly
 
 
 def run_cli(capsys, *argv):
@@ -203,7 +207,12 @@ def test_huge_antiprime_bound_exits_2_before_building_the_ladder():
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
     )
     assert proc.returncode == EXIT_BUDGET, proc.stderr[:300]
-    assert json.loads(proc.stderr)["error"]["type"] == "OracleBudgetExceeded"
+    assert json.loads(proc.stderr)["error"] == {
+        "type": "OracleBudgetExceeded",
+        "message": "a witness of omega(q^0) > K at q=999/1000, with K of 20001 digits,"
+        " needs a level N past the ladder limit of 268435456 bits",
+    }
+    assert len(proc.stderr) < 300
     assert not proc.stdout
 
 
@@ -305,6 +314,85 @@ def test_antiprime_beyond_the_int_str_digit_limit(capsys):
     assert Fraction(doc["x"]) == Fraction(999**1609)
     assert len(doc["certificate"]["quotient"]) == 1609
     assert elapsed < 2.0, f"antiprime at N = 1609 took {elapsed:.2f}s"
+
+
+def pairs_text(poly) -> str:
+    return "".join(cli._pairs_json(poly))
+
+
+def test_pairs_writer_matches_json_dumps_on_examples():
+    geometric = {j: 998 * 1000**j for j in range(400)}
+    broken = {**geometric, 200: geometric[200] + 1}
+    for terms in (
+        {},
+        {5: 7},
+        {0: 10**4000},
+        geometric,
+        broken,
+        {0: 3, 1: 3 * 2**64, 2: 3 * 2**64 * 2**65, 3: 3 * 2**129 * 5},  # ratios of 2^64 and past it
+        {0: 9, 4: 9, 9: 9},  # equal neighbours
+        {0: 10**40, 1: 10**39, 2: 7},  # falling
+        {j: 3**j for j in range(0, 3000, 7)},  # sparse degrees
+    ):
+        poly = NatPoly(terms)
+        assert pairs_text(poly) == json.dumps(poly.to_pairs(), separators=(",", ":"))
+
+
+ratio_steps = st.one_of(
+    st.integers(min_value=1, max_value=2**70),  # exact multiples, short and past 2^64
+    st.integers(min_value=-(2**70), max_value=2**70).map(lambda bump: ("add", bump)),
+)
+
+
+@given(st.integers(min_value=1, max_value=10**60), st.lists(ratio_steps, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_pairs_writer_matches_json_dumps(first, steps):
+    coeffs = [first]
+    for step in steps:
+        if isinstance(step, tuple):
+            coeffs.append(max(1, coeffs[-1] + step[1]))  # breaks the run, rises or falls
+        else:
+            coeffs.append(coeffs[-1] * step)
+    poly = NatPoly({2 * j: c for j, c in enumerate(coeffs)})
+    assert pairs_text(poly) == json.dumps(poly.to_pairs(), separators=(",", ":"))
+
+
+# sha256 of the antiprime stdout documents, concatenated over k in (0, 1, 3)
+# and then K in (1, 2, 5, 10): twelve per base.
+ANTIPRIME_DIGESTS = {
+    "2/3": "fae25420bf82144eb982145e62b50e5d9077e6b7de1a3b136cd00747594125f8",
+    "3/4": "010991d23bd37d11e90ebef30de682b4662b2e3cd725670b89d31e91cda440c9",
+    "9/10": "a162cd7454a9d65008782f5d70fc9b50a20a02b1df6c7b779ecbda33e5b11775",
+    "99/100": "35aaf5741bdc997f946828e53aa98f150e01d3e532263136f2a153596d63320d",
+    "999/1000": "803d31d6e5fb2aea023be00c05107d4cfb6771e37fa7e21654f30087cef8a394",
+    "5/7": "40c104676490d8182e716ec600fdc48ee703fe3a71f44dd6df4992279f9c3e49",
+    "13/17": "45c8ae2c31260c9c7a02a650c076e5856e94e6d07b4f54418e117876e9afc614",
+}
+
+
+@pytest.mark.parametrize("q", sorted(ANTIPRIME_DIGESTS))
+def test_antiprime_documents_are_pinned(q, capsys):
+    digest = hashlib.sha256()
+    for k in (0, 1, 3):
+        for big_k in (1, 2, 5, 10):
+            code, out, err = run_cli(capsys, "antiprime", "--q", q, "--k", str(k), "--K", str(big_k))
+            assert (code, err) == (EXIT_OK, "")
+            digest.update(out.encode())
+    assert digest.hexdigest() == ANTIPRIME_DIGESTS[q]
+
+
+def test_antiprime_at_k_100_is_pinned_and_linear_in_its_output(capsys):
+    # N = 4603 and a 32 MB document: a quotient of 4603 coefficients of up to
+    # 13,800 digits.  Converting each integer in full took about 7 s.
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "antiprime", "--q", "999/1000", "--k", "0", "--K", "100")
+    elapsed = time.monotonic() - start
+    assert (code, err) == (EXIT_OK, "")
+    assert len(out) == 31865730
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0ec5e28dc8b256006fb1a8973baa1c4b88c26937fcd34ea2a4512575f4c3d4e2"
+    )
+    assert elapsed < 2.0, f"antiprime at K = 100 took {elapsed:.2f}s"
 
 
 def test_omega_interval_scales_to_huge_conductor(capsys):

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from cyclofact.omega import (
     IntervalMonoid,
+    _digit_count,
     antiprime_witness_chain,
     conductor,
     interval_membership,
@@ -14,6 +15,13 @@ from cyclofact.omega import (
     witness_checks,
 )
 from cyclofact.rationals import rat_ceil
+
+
+@given(st.integers(min_value=1, max_value=4000))
+@settings(max_examples=200)
+def test_digit_count_at_powers_of_ten(d):
+    for n in (10 ** (d - 1), 10**d - 1, 2 ** (d - 1), 7 * 10 ** (d - 1) + 3):
+        assert _digit_count(n) == len(str(n))
 
 
 def threshold_exponent_loop(q, k, K):

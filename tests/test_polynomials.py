@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cyclofact.polynomials import (
@@ -71,6 +71,48 @@ rationals = st.fractions(
 def test_eval_is_semiring_homomorphism(f, g, x):
     assert (f + g).eval(x) == f.eval(x) + g.eval(x)
     assert (f * g).eval(x) == f.eval(x) * g.eval(x)
+
+
+def eval_reference(f, x) -> F:
+    """_SparsePoly.eval as written before it merged by halves: a term-by-term sum."""
+    x = F(x)
+    total = F(0)
+    for deg, coeff in f.terms.items():
+        total += coeff * x**deg
+    return total
+
+
+big_coefficients = st.integers(min_value=-(10**300), max_value=10**300).filter(bool)
+sparse_degrees = st.integers(min_value=0, max_value=400)
+wide_polys = st.one_of(
+    st.dictionaries(sparse_degrees, big_coefficients, max_size=9).map(IntPoly),
+    st.dictionaries(sparse_degrees, big_coefficients.map(abs), max_size=9).map(NatPoly),
+    st.dictionaries(
+        sparse_degrees,
+        st.fractions(max_denominator=10**200).filter(bool) | big_coefficients.map(F),
+        max_size=9,
+    ).map(RatPoly),
+)
+wide_points = st.builds(
+    F, st.integers(min_value=-(2**200), max_value=2**200), st.integers(min_value=1, max_value=2**200)
+)
+
+
+@given(wide_polys, wide_points)
+@settings(max_examples=300, deadline=None)
+def test_eval_matches_the_term_by_term_sum(f, x):
+    value = f.eval(x)
+    assert value == eval_reference(f, x)
+    assert type(value) is F
+
+
+def test_eval_edge_cases_match_the_term_by_term_sum():
+    geometric = NatPoly({j: 998 * 1000**j for j in range(120)})
+    for f in (NatPoly(), IntPoly(), RatPoly(), NatPoly({0: 7}), IntPoly({250: -3}),
+              RatPoly({9: F(5, 3)}), geometric, IntPoly({0: 1, 1: -1, 2: 1})):
+        for x in (F(0), F(1), F(-1), F(999, 1000), F(-7, 3), 2, F(-(2**200) + 1, 2**199 + 3)):
+            value = f.eval(x)
+            assert value == eval_reference(f, x) and type(value) is F
 
 
 @given(sparse_int_polys)
