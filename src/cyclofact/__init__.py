@@ -31,27 +31,22 @@ from .omega import (
     OmegaIntervalResult,
     OmegaWitness,
     antiprime_witness_chain,
-    conductor,
     interval_membership,
     omega_interval_atom,
     omega_lower_bound,
     witness_checks,
 )
-from .polynomials import IntPoly, NatPoly, RatPoly, ZeroPolynomialError, parse_polynomial
-from .rationals import Rat, format_rat, parse_rat, simplest_in_open
+from .polynomials import NatPoly, RatPoly, ZeroPolynomialError, parse_polynomial
+from .rationals import format_rat, parse_rat, simplest_in_open
 from .semiring import (
     DEFAULT_ORACLE_CAP,
     LengthStats,
     NotInMonoidError,
     OracleBudgetExceeded,
     RationalBase,
-    apply_down_move,
-    apply_up_move,
-    divides,
     down_normal_form,
     enumerate_factorizations,
     enumerate_length_set,
-    is_member,
     iter_factorizations,
     length_stats,
     max_atom_exponent,

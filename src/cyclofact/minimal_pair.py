@@ -27,10 +27,6 @@ class MinimalPair:
     p: NatPoly
     q0: NatPoly
 
-    def reconstruct(self) -> RatPoly:
-        """ell*f recovered as p - q0 (integer coefficients, exact)."""
-        return RatPoly.from_int_poly(self.p) - RatPoly.from_int_poly(self.q0)
-
 
 def minimal_pair(f: RatPoly) -> MinimalPair:
     """Minimal pair of a monic nonzero polynomial with rational coefficients.

@@ -32,8 +32,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .polynomials import NatPoly
-from .rationals import rat_ceil, rat_floor, simplest_in_open
-from .semiring import MAX_LADDER_BITS, OracleBudgetExceeded, RationalBase, max_atom_exponent
+from .rationals import simplest_in_open
+from .semiring import MAX_LADDER_BITS, OracleBudgetExceeded, RationalBase, _digit_count, max_atom_exponent
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class IntervalMonoid:
         q = Fraction(q)
         if not Fraction(1) < q < Fraction(2):
             raise ValueError(f"interval monoid requires 1 < q < 2, got {q}")
-        c = rat_ceil(1 / (q - 1))
+        c = math.ceil(1 / (q - 1))
         # The defining inequalities behind the conductor value; k*q < k + 1
         # is monotone in k, so k = c-1 stands for every k in 1..c-1.
         if not (c - 1) * q < c:
@@ -58,11 +58,6 @@ class IntervalMonoid:
         return cls(q, c)
 
 
-def conductor(q: Fraction) -> int:
-    """ceil(1/(q-1)) for q in (1, 2), with its inequalities verified."""
-    return IntervalMonoid.for_ratio(q).conductor
-
-
 def interval_membership(monoid: IntervalMonoid, x: Fraction) -> bool:
     """x = 0, or k <= x <= k*q for k = floor(x) < c, or x >= c."""
     x = Fraction(x)
@@ -70,7 +65,7 @@ def interval_membership(monoid: IntervalMonoid, x: Fraction) -> bool:
         return False
     if x == 0 or x >= monoid.conductor:
         return True
-    k = rat_floor(x)
+    k = math.floor(x)
     return k >= 1 and x <= k * monoid.q
 
 
@@ -98,7 +93,7 @@ def omega_interval_atom(monoid: IntervalMonoid, a: Fraction) -> OmegaIntervalRes
     if not Fraction(1) <= a <= monoid.q:
         raise ValueError(f"atom must lie in [1, {monoid.q}], got {a}")
     c = monoid.conductor
-    n = rat_ceil(a)
+    n = math.ceil(a)
     omega = c + n
     lo = ((c - 1) * monoid.q + a) / (c + n - 1)
     hi = (c + a) / (c + n - 1)
@@ -126,9 +121,6 @@ class DivisibilityCertificate:
     dividend: Fraction
     divisor: Fraction
     quotient_presentation: NatPoly
-
-    def holds(self, q: Fraction) -> bool:
-        return self.quotient_presentation.eval(q) == self.dividend - self.divisor
 
 
 @dataclass(frozen=True)
@@ -225,14 +217,6 @@ def witness_checks(witness: OmegaWitness, q: Fraction) -> dict[str, bool]:
             and quotient.eval(q) == witness.x - q**witness.atom_power
         ),
     }
-
-
-def _digit_count(n: int) -> int:
-    """Decimal digits of n >= 1, without the quadratic int-to-str conversion."""
-    digits = int((n.bit_length() - 1) * math.log10(2))  # at most the true count
-    while 10**digits <= n:
-        digits += 1
-    return digits
 
 
 def omega_lower_bound(q: Fraction, k: int, K: int) -> OmegaWitness:

@@ -1,10 +1,8 @@
-"""Sparse exact polynomials: integer, nonnegative-integer and rational.
+"""Sparse exact polynomials: nonnegative-integer and rational.
 
-Three thin subclasses of one sparse ``{degree: coefficient}`` core, which
+Two thin subclasses of one sparse ``{degree: coefficient}`` core, which
 holds the storage, the queries and ``+``, ``-`` and ``*``:
 
-* ``IntPoly``  -- integer coefficients of either sign, with Descartes'
-  sign-variation count.
 * ``NatPoly``  -- strictly positive integer coefficients.  Doubles as a
   factorization (coefficient at i = multiplicity of the atom q^i) and as an
   element presentation f with f(q) = value.
@@ -12,11 +10,11 @@ holds the storage, the queries and ``+``, ``-`` and ``*``:
   polynomials of minimal-pair computations and of ``algebraic``, and the
   output of the polynomial-string parser.  Adds the remainder ``mod``.
 
-Equal coefficient maps compare equal across the three classes.
+Equal coefficient maps compare equal across the two classes.
 
 Zero coefficients are never stored, so the zero polynomial is the empty map;
-it is a distinct queryable state (``is_zero``) and asking for its support or
-order is a hard error.  Sparse maps are the right shape here: presentations
+it is a distinct queryable state (``is_zero``) and asking for its order or
+degree is a hard error.  Sparse maps are the right shape here: presentations
 have few terms but the exponents can grow large.
 
 All instances are immutable values and safe to share across threads.
@@ -49,7 +47,7 @@ def _clean(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> dict[int, in
 
 
 class _SparsePoly:
-    """Shared storage, queries and arithmetic of the three wrappers.
+    """Shared storage, queries and arithmetic of the two wrappers.
 
     Arithmetic builds the left operand's type, so the subclass's check hook
     vets every result.
@@ -78,12 +76,6 @@ class _SparsePoly:
 
     def coeff(self, degree: int) -> int:
         return self._terms.get(degree, self._zero)
-
-    def support(self) -> set[int]:
-        """Degrees carrying a nonzero coefficient; undefined for zero."""
-        if not self._terms:
-            raise ZeroPolynomialError("undefined support of the zero polynomial")
-        return set(self._terms)
 
     def order(self) -> int:
         """min(support) = largest d with X^d dividing the polynomial."""
@@ -129,18 +121,11 @@ class _SparsePoly:
         """JSON form: [degree, coefficient] pairs sorted by degree."""
         return [[d, c] for d, c in sorted(self._terms.items())]
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable[int]]):
-        return cls([(int(d), c) for d, c in pairs])
-
     def __add__(self, other):
         return type(self)([*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other):
         return type(self)([*self._terms.items(), *((d, -c) for d, c in other._terms.items())])
-
-    def __neg__(self):
-        return type(self)() - self
 
     def __mul__(self, other):
         return type(self)(
@@ -174,27 +159,6 @@ class _SparsePoly:
             else:
                 parts.append(f"{coeff}*X^{deg}" if coeff != 1 else f"X^{deg}")
         return f"{type(self).__name__}({' + '.join(parts)})"
-
-
-class IntPoly(_SparsePoly):
-    """Sparse polynomial with (nonzero) integer coefficients."""
-
-    def sign_variations(self) -> int:
-        """Sign changes in the coefficient sequence by increasing degree.
-
-        Zero coefficients are skipped.  By Descartes' rule the result is an
-        upper bound for the number of positive roots and has the same parity.
-        """
-        if not self._terms:
-            raise ZeroPolynomialError("sign variations undefined for the zero polynomial")
-        changes = 0
-        prev = 0
-        for _, coeff in sorted(self._terms.items()):
-            sign = 1 if coeff > 0 else -1
-            if prev and sign != prev:
-                changes += 1
-            prev = sign
-        return changes
 
 
 class NatPoly(_SparsePoly):
@@ -251,10 +215,6 @@ class RatPoly(_SparsePoly):
             ell = math.lcm(ell, coeff.denominator)
         return ell
 
-    def scale(self, c: Fraction) -> "RatPoly":
-        c = Fraction(c)
-        return RatPoly({d: c * v for d, v in self._terms.items()})
-
     def mod(self, divisor: "RatPoly") -> "RatPoly":
         """Remainder of exact division by a nonzero polynomial."""
         if divisor.is_zero:
@@ -267,10 +227,6 @@ class RatPoly(_SparsePoly):
             factor = rem.coeff(top) / lead
             rem -= RatPoly({top - ddeg + d: factor * c for d, c in divisor._terms.items()})
         return rem
-
-    @classmethod
-    def from_int_poly(cls, p: IntPoly | NatPoly) -> "RatPoly":
-        return cls(p.terms)
 
 
 _TERM_RE = re.compile(

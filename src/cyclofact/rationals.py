@@ -2,15 +2,13 @@
 
 Every quantity in the core library is an exact ``fractions.Fraction``
 (arbitrary precision, always reduced, positive denominator).  No floating
-point is used anywhere: all comparisons, ceilings and interval searches
-below are integer arithmetic on numerator/denominator.
+point is used anywhere: all comparisons and interval searches below are
+integer arithmetic on numerator/denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Rat = Fraction
 
 
 def parse_rat(text: str) -> Fraction:
@@ -34,14 +32,6 @@ def format_rat(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def rat_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def rat_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def simplest_in_open(lo: Fraction, hi: Fraction) -> Fraction:

@@ -126,14 +126,17 @@ class RationalBase:
         return str(self.a) if self.b == 1 else f"{self.a}/{self.b}"
 
 
-def _require_fractional(base: RationalBase) -> None:
-    if base.is_integer:
-        raise ValueError("operation requires a non-integer base q = a/b with b >= 2")
-
-
 def _log_ratio(n: int, d: int) -> float:
     """log(n/d) for integers n >= d > 0, without overflow or cancellation near 1."""
     return math.log1p((n - d) / d) if n < 2 * d else math.log(n) - math.log(d)
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of n >= 1, without the quadratic int-to-str conversion."""
+    digits = int((n.bit_length() - 1) * math.log10(2))  # at most the true count
+    while 10**digits <= n:
+        digits += 1
+    return digits
 
 
 def max_atom_exponent(base: RationalBase, x: Fraction) -> int:
@@ -153,7 +156,9 @@ def max_atom_exponent(base: RationalBase, x: Fraction) -> int:
     bits = max(e * math.log2(a), num.bit_length() + e * math.log2(b))
     if bits > MAX_LADDER_BITS:
         raise OracleBudgetExceeded(
-            f"q^e <= {x} at q={base} needs e near {e}: about {bits:.3g} bits, past the limit of {MAX_LADDER_BITS}"
+            f"q^e <= x at q={base}, where x has {_digit_count(num)} numerator and"
+            f" {_digit_count(den)} denominator digits, needs e near {e}:"
+            f" about {bits:.3g} bits, past the limit of {MAX_LADDER_BITS}"
         )
     up, down = a**e, b**e
     while up * den > num * down:
@@ -236,50 +241,6 @@ def member_witness(base: RationalBase, x: Fraction) -> Optional[NatPoly]:
     if _forced_digits(base.a, base.b, t, top + 1, digits, 0):
         return None
     return NatPoly(digits)
-
-
-def is_member(base: RationalBase, x: Fraction) -> bool:
-    return member_witness(base, x) is not None
-
-
-def divides(base: RationalBase, x: Fraction, y: Fraction) -> Optional[NatPoly]:
-    """Witness that y - x lies in the monoid, or None.
-
-    x and y are assumed to be elements already; y < x is immediately
-    impossible because the monoid is positive.
-    """
-    x, y = Fraction(x), Fraction(y)
-    if y < x:
-        return None
-    return member_witness(base, y - x)
-
-
-def apply_up_move(base: RationalBase, z: NatPoly, j: int) -> NatPoly:
-    """One up move at degree j: a copies of q^j become b copies of q^(j+1)."""
-    _require_fractional(base)
-    terms = z.terms
-    if terms.get(j, 0) < base.a:
-        raise ValueError(f"up move needs at least a={base.a} copies at degree {j}")
-    terms[j] -= base.a
-    if not terms[j]:
-        del terms[j]
-    terms[j + 1] = terms.get(j + 1, 0) + base.b
-    return NatPoly(terms)
-
-
-def apply_down_move(base: RationalBase, z: NatPoly, j: int) -> NatPoly:
-    """One down move at degree j >= 1: b copies of q^j become a copies of q^(j-1)."""
-    _require_fractional(base)
-    if j < 1:
-        raise ValueError("down moves only apply at degree >= 1")
-    terms = z.terms
-    if terms.get(j, 0) < base.b:
-        raise ValueError(f"down move needs at least b={base.b} copies at degree {j}")
-    terms[j] -= base.b
-    if not terms[j]:
-        del terms[j]
-    terms[j - 1] = terms.get(j - 1, 0) + base.a
-    return NatPoly(terms)
 
 
 def up_normal_form(base: RationalBase, z: NatPoly) -> NatPoly:

@@ -176,10 +176,13 @@ def test_non_member_value_names_the_flag(capsys):
 def test_bases_near_one_exit_2_before_building_the_ladder():
     # q = 1 + 10^-9 puts about 6.9*10^8 levels under 2, on integers of about
     # 2*10^10 bits: the size check must refuse them before any power is taken.
+    # At q = 1000/999, a value of 10^20000 needs about 4.6*10^8 bits, and the
+    # message names its digit counts instead of printing all 20,001 digits.
     # A subprocess with a timeout, so that a regression fails instead of hanging.
     for argv in (
         ("member", "--q", "1000000001/1000000000", "--value", "2"),
         ("elasticity-scan", "--q", "1000000001/1000000000", "--bound", "2"),
+        ("member", "--q", "1000/999", "--value", "1" + "0" * 20000),
     ):
         start = time.perf_counter()
         proc = subprocess.run(
@@ -192,6 +195,7 @@ def test_bases_near_one_exit_2_before_building_the_ladder():
         elapsed = time.perf_counter() - start
         assert proc.returncode == EXIT_BUDGET, proc.stderr
         assert json.loads(proc.stderr)["error"]["type"] == "OracleBudgetExceeded"
+        assert len(proc.stderr) < 300
         assert not proc.stdout
         assert elapsed < 1.0, elapsed
 
@@ -416,15 +420,26 @@ def test_documents_round_trip(capsys):
     assert parse_rat(doc["q"]) == Fraction(3, 2)
     assert parse_rat(doc["value"]) == Fraction(9)
     assert parse_rat(doc["elasticity"]) == Fraction(3)
-    witness = NatPoly.from_pairs(doc["min_factorization"])
+    witness = NatPoly(doc["min_factorization"])
     assert witness.eval(Fraction(3, 2)) == 9
     assert witness.length() == doc["min_length"]
 
     doc = run_json(capsys, "antiprime", "--q", "2/3", "--k", "0", "--K", "10")
-    quotient = NatPoly.from_pairs(doc["certificate"]["quotient"])
+    quotient = NatPoly(doc["certificate"]["quotient"])
     assert quotient.eval(Fraction(2, 3)) == parse_rat(doc["x"]) - parse_rat(
         doc["certificate"]["divisor"]
     )
+
+
+def test_every_traced_layer_resolves():
+    # bench/tracer.py wraps each LAYERS entry by module and attribute path;
+    # a name that leaves the package would abort the traced bench run.
+    tracer = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))
+    for module_name, path in tracer["LAYERS"]:
+        owner = sys.modules[f"{tracer['PACKAGE']}.{module_name}"]
+        for attr in path.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), (module_name, path)
 
 
 def test_module_entry_point_runs():
