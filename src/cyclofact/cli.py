@@ -212,8 +212,11 @@ def _cmd_elasticity_scan(args) -> None:
         raise CliError(f"--bound: expected a nonnegative rational, got {format_rat(args.bound)}")
     scan = elasticity_scan(base, args.bound, budget=args.oracle_cap)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            write_scan_csv(scan, handle)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                write_scan_csv(scan, handle)
+        except OSError as exc:
+            raise CliError(f"--out: cannot write {args.out!r}: {exc.strerror}") from None
     else:
         write_scan_csv(scan, sys.stdout)
 

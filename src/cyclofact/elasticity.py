@@ -27,7 +27,7 @@ Every candidate is an integer n, and n copies of the atom 1 have no digit at
 degree >= 1, so by the uniqueness proof in the ``semiring`` docstring they
 are the down normal form: L = n, and that form is the presentation the
 forced atoms extend.  Only ell, the digit sum of the membership witness,
-takes a ladder pass; no candidate runs a normal-form pass.
+takes a carry pass; no candidate runs a normal-form pass.
 
 Density scans need no search: each element is read off its unique digit
 string with all digits below a, its up normal form (the min length); the

@@ -230,7 +230,7 @@ class RatPoly(_SparsePoly):
 
 
 _TERM_RE = re.compile(
-    r"""^(?P<coeff>\d+(?:\s*/\s*\d+)?)?\s*\*?\s*
+    r"""^(?P<coeff>\d+(?:\s*/\s*0*[1-9]\d*)?)?\s*\*?\s*
         (?P<var>[Xx](?:\s*\^\s*(?P<exp>\d+))?)?$""",
     re.VERBOSE,
 )
@@ -247,7 +247,7 @@ def parse_polynomial(text: str) -> RatPoly:
     if not s:
         raise ValueError("empty polynomial string")
     # Tokenize into signed terms.  A leading sign is optional.
-    chunks = re.findall(r"[+-]?[^+-]+", s.replace(" ", " "))
+    chunks = re.findall(r"[+-]?[^+-]+", s)
     terms: list[tuple[int, Fraction]] = []
     for chunk in chunks:
         chunk = chunk.strip()

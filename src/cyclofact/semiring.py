@@ -31,10 +31,22 @@ factorization, and every length in between occurs:
   (Comm. Algebra 2020, arXiv:1904.00219), and length_stats builds it from
   the two normal forms.
 
-Membership and enumeration walk one integer digit ladder.  A factorization
-sum n_i q^i of x has i <= top (the largest e with q^e <= x), so
-t_0 = x * b^top must be an integer.  Level i carries the residual t_i and
-the weight w_i = b^(top-i), and t_(i+1) = (t_i - n_i w_i) / a; so
+The down normal form and the witness of an integer come from one carry pass
+over a run of degrees.  Each keeps N mod keep of N, its coefficient plus the
+carry in, and sends send * (N div keep) on to the next degree.  The down
+form keeps b and sends a from the top degree to degree 1; degree 0 keeps the
+carry out.  An integer x is x copies of q^0: its witness, the up form, keeps
+a and sends b up the top+1 levels of max_atom_exponent, past which nothing
+is carried, as q^(top+1) > x.  A carry keep^L Q + R into L levels leaves
+their digits to R and adds send^L Q to their carry out (keep^L Q adds a
+multiple of keep at the first level and passes on as keep^(L-1) send Q;
+induct on L), so a run splits at m = L // 2 as the ladder below does.
+
+Any other x, and enumeration, walk one integer digit ladder, the only pass
+that takes a power-of-b denominator; the up normal form of a presentation is
+the witness of its value.  A factorization sum n_i q^i of x has i <= top,
+so t_0 = x * b^top must be an integer.  Level i carries the residual t_i
+and the weight w_i = b^(top-i), and t_(i+1) = (t_i - n_i w_i) / a; so
 n_i w_i <= t_i, n_i = t_i / w_i (mod a), and the top digit is t_top itself.
 Membership takes the least, forced, digit at every level: x is a member iff
 the residual past level top is 0.  A negative residual stays negative, since
@@ -53,11 +65,11 @@ numeration of Akiyama, Frougny & Sakarovitch (Israel J. Math. 168, 2008),
 read a-adically.
 
 For integer q (b = 1) the monoid is all of the nonnegative integers, a UFM:
-the single factorization of x is x copies of the atom 1.  Membership,
+the single factorization of x is x copies of the atom 1, and membership,
 enumeration and the up normal form return it directly.  The down normal
-form and length_stats need no branch of their own: with b = 1 every down
-move carries a whole coefficient towards degree 0, so min = max = x and the
-length set is {x}.
+form and length_stats need no branch of their own: the carry keeps
+N mod 1 = 0 and sends a N on, so every coefficient reaches degree 0,
+min = max = x and the length set is {x}.
 
 Everything here is pure and safe for concurrent use; enumeration keeps its
 search stack per call.
@@ -73,9 +85,9 @@ from typing import Iterator, Optional
 from .polynomials import NatPoly
 
 DEFAULT_ORACLE_CAP = 10**6
-# No ladder is built on integers past this many bits (see max_atom_exponent).
+# No ladder or carry runs on integers past this many bits (max_atom_exponent).
 MAX_LADDER_BITS = 2**28
-# member_witness splits ladders of more levels than this in two.
+# Ladders and carry passes of more levels than this are split in two.
 _SPLIT_LEVELS = 32
 
 
@@ -218,13 +230,30 @@ def _forced_digits(a: int, b: int, t: int, levels: int, digits: dict[int, int], 
     return t
 
 
+def _carry(terms: dict[int, int], start: int, step: int, levels: int, carry: int, keep: int, send: int) -> int:
+    """The carry out of the module docstring's pass over `levels` degrees
+    start, start + step, ...; each degree's kept digit replaces its term."""
+    if levels > _SPLIT_LEVELS:
+        m = levels // 2
+        high, low = divmod(carry, keep**m)
+        carry = _carry(terms, start, step, m, low, keep, send) + send**m * high
+        return _carry(terms, start + step * m, step, levels - m, carry, keep, send)
+    for degree in range(start, start + step * levels, step):
+        carry, n = divmod(terms.pop(degree, 0) + carry, keep)
+        carry *= send
+        if n:
+            terms[degree] = n
+    return carry
+
+
 def member_witness(base: RationalBase, x: Fraction) -> Optional[NatPoly]:
     """Witness factorization of x, or None when x is not in the monoid.
 
     The returned witness is the canonical sub-a digit representation, i.e.
-    already the minimum-length factorization.  Reads the forced digit of
-    each level of the ladder, splitting long ladders in two; no search is
-    involved.
+    already the minimum-length factorization.  An integer x is carried up
+    from x copies of q^0 (keep a, send b) over its top+1 levels; any other
+    x reads the forced digit of each level of the ladder.  Both split long
+    runs in two; no search is involved.
     """
     x = Fraction(x)
     if x < 0:
@@ -233,66 +262,33 @@ def member_witness(base: RationalBase, x: Fraction) -> Optional[NatPoly]:
         return NatPoly.zero()
     if base.is_integer:
         return _integer_witness(x)
+    digits: dict[int, int] = {}
+    if x.denominator == 1:
+        _carry(digits, 0, 1, max_atom_exponent(base, x) + 1, x.numerator, base.a, base.b)
+        return NatPoly(digits)
     ladder = _ladder(base, x)
     if ladder is None:
         return None
     t, top = ladder
-    digits: dict[int, int] = {}
     if _forced_digits(base.a, base.b, t, top + 1, digits, 0):
         return None
     return NatPoly(digits)
 
 
 def up_normal_form(base: RationalBase, z: NatPoly) -> NatPoly:
-    """Run up moves to exhaustion: the unique all-coefficients-below-a form.
-
-    This is the minimum-length factorization of z's value.  Degrees are
-    processed in increasing order; batching consecutive moves at one degree
-    into a divmod is exact and keeps the pass linear.
-    """
-    if base.is_integer:
-        v = z.eval(base.q)
-        return NatPoly({0: int(v)}) if v else NatPoly.zero()
-    a, b = base.a, base.b
-    terms = z.terms
-    if not terms:
-        return NatPoly.zero()
-    j = min(terms)
-    top = max(terms)
-    while j <= top:
-        c = terms.get(j, 0)
-        if c >= a:
-            moves, rest = divmod(c, a)
-            if rest:
-                terms[j] = rest
-            else:
-                del terms[j]
-            terms[j + 1] = terms.get(j + 1, 0) + moves * b
-            top = max(top, j + 1)
-        j += 1
-    return NatPoly(terms)
+    """Run up moves to exhaustion: the unique all-coefficients-below-a form,
+    the minimum-length factorization and membership witness of z's value."""
+    return member_witness(base, z.eval(base.q))
 
 
 def down_normal_form(base: RationalBase, z: NatPoly) -> NatPoly:
-    """Run down moves to exhaustion: coefficients at degree >= 1 all below b.
-
-    Length strictly increases by a-b per move and is bounded by the element
-    value, so the descending pass terminates; the result is the unique such
-    form and the maximum-length factorization (see the module docstring).
-    """
-    a, b = base.a, base.b
+    """Run down moves to exhaustion: coefficients at degree >= 1 all below b,
+    the unique such form and the maximum-length factorization (module
+    docstring); a carry pass from the top degree down to degree 1."""
     terms = z.terms
-    if not terms:
-        return NatPoly.zero()
-    for j in range(max(terms), 0, -1):
-        c = terms.get(j, 0)
-        if c >= b:
-            moves, rest = divmod(c, b)
-            if rest:
-                terms[j] = rest
-            else:
-                del terms[j]
-            terms[j - 1] = terms.get(j - 1, 0) + moves * a
+    top = max(terms, default=0)
+    carry = _carry(terms, top, -1, top, 0, base.b, base.a)
+    terms[0] = terms.get(0, 0) + carry
     return NatPoly(terms)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import resource
 import runpy
 import subprocess
@@ -78,6 +79,40 @@ def test_minimal_pair_from_string_and_rational(capsys):
     assert doc == {"ell": 2, "p": [[1, 2]], "q0": [[0, 3]]}
     code, _, err = run_cli(capsys, "minimal-pair")
     assert code == EXIT_DOMAIN_ERROR
+
+
+def assert_one_error_line(code, out, err):
+    assert code == EXIT_DOMAIN_ERROR
+    assert not out
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    return json.loads(line)["error"]
+
+
+def test_zero_denominator_in_a_polynomial_is_one_error_line(capsys):
+    error = assert_one_error_line(*run_cli(capsys, "minimal-pair", "X - 1/0"))
+    assert error["type"] == "ValueError"
+    assert "'1/0'" in error["message"]
+
+
+def test_scan_out_in_a_missing_directory_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "missing" / "scan.csv"
+    argv = ("elasticity-scan", "--q", "3/2", "--bound", "4", "--out", str(path))
+    error = assert_one_error_line(*run_cli(capsys, *argv))
+    assert error["type"] == "CliError"
+    assert error["message"].startswith("--out: ")
+    assert not path.parent.exists()
+
+
+def test_lengths_of_a_40000_bit_integer_is_not_per_level_quadratic(capsys):
+    # Carrying the witness and the down normal form one level at a time took
+    # about 3.2 s at q = 7/5 (2 vCPUs, CPython 3.11); the split carry about 0.3 s.
+    n = random.Random(40000).getrandbits(40000) | 1 << 39999
+    start = time.monotonic()
+    doc = run_json(capsys, "lengths", "--q", "7/5", "--value", str(n))
+    elapsed = time.monotonic() - start
+    assert doc["max_length"] == n
+    assert elapsed < 1.5, f"lengths on a 40,000-bit integer took {elapsed:.2f}s"
 
 
 def test_member_and_factorize(capsys):

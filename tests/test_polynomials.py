@@ -152,12 +152,16 @@ def test_parse_polynomial():
     p = parse_polynomial("X^2 - 3X + 1")
     assert p.terms == {2: F(1), 1: F(-3), 0: F(1)}
     assert parse_polynomial("X - 3/2").terms == {1: F(1), 0: F(-3, 2)}
+    assert parse_polynomial("X - 3 / 02").terms == {1: F(1), 0: F(-3, 2)}
     assert parse_polynomial("2*X^3 + X").terms == {3: F(2), 1: F(1)}
     assert parse_polynomial("5").terms == {0: F(5)}
     with pytest.raises(ValueError):
         parse_polynomial("X^2 + + 3")
     with pytest.raises(ValueError):
         parse_polynomial("")
+    for zero in ("1/0", "1 / 00"):
+        with pytest.raises(ValueError, match=f"term '{zero}'"):
+            parse_polynomial(f"X - {zero}")
 
 
 def test_ratpoly_mod():

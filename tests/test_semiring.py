@@ -145,6 +145,48 @@ def member_witness_walk(base, x):
     return NatPoly(digits) if t == 0 else None
 
 
+def up_normal_form_walk(base, z):
+    """Reference for up_normal_form on b >= 2: the up moves of one degree at a
+    time, in increasing order, batched into a divmod."""
+    a, b = base.a, base.b
+    terms = z.terms
+    if not terms:
+        return NatPoly.zero()
+    j = min(terms)
+    top = max(terms)
+    while j <= top:
+        c = terms.get(j, 0)
+        if c >= a:
+            moves, rest = divmod(c, a)
+            if rest:
+                terms[j] = rest
+            else:
+                del terms[j]
+            terms[j + 1] = terms.get(j + 1, 0) + moves * b
+            top = max(top, j + 1)
+        j += 1
+    return NatPoly(terms)
+
+
+def down_normal_form_walk(base, z):
+    """Reference for down_normal_form: the down moves of one degree at a time,
+    from the top degree down to degree 1, batched into a divmod."""
+    a, b = base.a, base.b
+    terms = z.terms
+    if not terms:
+        return NatPoly.zero()
+    for j in range(max(terms), 0, -1):
+        c = terms.get(j, 0)
+        if c >= b:
+            moves, rest = divmod(c, b)
+            if rest:
+                terms[j] = rest
+            else:
+                del terms[j]
+            terms[j - 1] = terms.get(j - 1, 0) + moves * a
+    return NatPoly(terms)
+
+
 def brute_force_members(base, bound, max_terms=10):
     """Independent membership oracle: breadth-first atom sums up to a bound.
 
@@ -238,6 +280,60 @@ def test_member_witness_matches_the_level_walk(case):
     assert witness == member_witness_walk(base, x)
     if digits is not None:
         assert witness == digits
+
+
+@st.composite
+def presentations(draw, bases):
+    """(base, z): z's top degree is drawn around the split or up to 300, and
+    its coefficients run from 1 to well above a and b."""
+    base = draw(st.sampled_from(bases))
+    top = draw(
+        st.one_of(
+            st.integers(_SPLIT_LEVELS - 1, _SPLIT_LEVELS + 1),
+            st.integers(2 * _SPLIT_LEVELS - 1, 2 * _SPLIT_LEVELS + 1),
+            st.integers(0, 300),
+        )
+    )
+    coefficients = st.integers(1, 3 * base.a + 4)
+    terms = draw(st.dictionaries(st.integers(0, top), coefficients, max_size=40))
+    terms[top] = draw(coefficients)
+    return base, NatPoly(terms)
+
+
+@st.composite
+def integers_near_splits(draw):
+    """(base, n): n near a^32, a^64 or a^300, or near q^L for a level count
+    L around the split."""
+    base = draw(st.sampled_from(DC_BASES))
+    a, b = base.a, base.b
+    levels = draw(st.sampled_from([_SPLIT_LEVELS - 1, _SPLIT_LEVELS, _SPLIT_LEVELS + 1, 2 * _SPLIT_LEVELS + 1]))
+    centre = draw(st.sampled_from([a**32, a**64, a**300, -(-(a**levels) // b**levels)]))
+    offset = draw(st.one_of(st.integers(-(a**3), a**3), st.integers(-(centre // 2), centre // 2)))
+    return base, centre + offset
+
+
+@given(presentations(DC_BASES + [RationalBase(2, 1), RationalBase(3, 1)]))
+@settings(max_examples=200, deadline=None)
+def test_down_normal_form_matches_the_degree_walk(case):
+    base, z = case
+    assert down_normal_form(base, z) == down_normal_form_walk(base, z)
+
+
+@given(presentations(DC_BASES), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_up_normal_form_matches_the_degree_walk(case, integral):
+    base, z = case
+    if integral:
+        # b^top z has an integer value, whose up form takes the carry pass.
+        z = NatPoly({d: c * base.b ** z.degree() for d, c in z.items()})
+    assert up_normal_form(base, z) == up_normal_form_walk(base, z)
+
+
+@given(integers_near_splits())
+@settings(max_examples=200, deadline=None)
+def test_integer_witness_matches_the_level_walk(case):
+    base, n = case
+    assert member_witness(base, F(n)) == member_witness_walk(base, n)
 
 
 class TestMaxAtomExponent:
@@ -534,7 +630,7 @@ def test_membership_witness_is_up_normal_form(base, terms):
     x = z.eval(base.q)
     w = member_witness(base, x)
     assert w is not None
-    assert w == up_normal_form(base, z)
+    assert w == up_normal_form_walk(base, z)
 
 
 @given(
