@@ -30,7 +30,7 @@ from .omega import (
     omega_interval_atom,
     omega_lower_bound,
 )
-from .polynomials import ZeroPolynomialError, parse_polynomial
+from .polynomials import parse_polynomial
 from .rationals import format_rat, parse_rat
 from .semiring import (
     DEFAULT_ORACLE_CAP,
@@ -372,7 +372,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OracleBudgetExceeded, ScanCapExceeded) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_BUDGET
-    except (CliError, NotInMonoidError, ZeroPolynomialError, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_DOMAIN_ERROR
     if doc is not None:

@@ -19,9 +19,9 @@ Candidate base elements are powers a^k scanned from the threshold exponent N
 perturbations a^N + m.  Scanning powers alone can leave the shift count c at
 the scale of a^k itself, far beyond anything materializable, while the
 perturbation offset walks the residue of t*L - s*ell through every class
-modulo s-t at fixed magnitude; a materialization cap keeps certificates
-explicit.  A target that neither phase reaches within the caps raises
-``ScanCapExceeded``.
+modulo s-t at fixed magnitude; the materialization cap ``MATERIALIZE_CAP``
+on the shift count keeps certificates explicit.  A target that neither phase
+reaches within the caps raises ``ScanCapExceeded``.
 
 Every candidate is an integer n, and n copies of the atom 1 have no digit at
 degree >= 1, so by the uniqueness proof in the ``semiring`` docstring they
@@ -56,7 +56,8 @@ from .semiring import (
 )
 
 DEFAULT_SCAN_CAP = 200
-DEFAULT_MATERIALIZE_CAP = 2_000
+MATERIALIZE_CAP = 2_000
+NODE_BUDGET = 100_000
 
 
 class ScanCapExceeded(RuntimeError):
@@ -195,7 +196,6 @@ def elasticity_formula(
     minpoly: RatPoly,
     root_interval: tuple[Fraction, Fraction],
     atom_budget: int,
-    node_budget: int = 100_000,
 ) -> FormulaResult:
     """Monoid elasticity from the minimal pair, gated by an atom census.
 
@@ -205,7 +205,8 @@ def elasticity_formula(
     algebra in the power basis).  Decomposability of root^(deg+1) propagates
     to all higher powers, so a census that finds atoms exactly at 0..deg is
     conclusive.  Outcomes other than a verified hypothesis are reported as
-    inapplicable (with the refuting evidence) or inconclusive (budget).
+    inapplicable (with the refuting evidence) or inconclusive (the search
+    visits more than ``NODE_BUDGET`` nodes).
     """
     alpha = AlgebraicNumber(minpoly, *root_interval)
     n = minpoly.degree()
@@ -227,7 +228,7 @@ def elasticity_formula(
             (),
         )
     coords = power_coordinates(minpoly, atom_budget)
-    budget = Budget(node_budget)
+    budget = Budget(NODE_BUDGET)
     atoms = list(range(n))
     decomposed: list[int] = []
     for k in range(n, atom_budget + 1):
@@ -365,17 +366,17 @@ def construct_elasticity(
     base: RationalBase,
     target: ElasticityTarget,
     scan_cap: int = DEFAULT_SCAN_CAP,
-    materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
 ) -> ElasticityCertificate:
     """Build an element with elasticity exactly target.s/target.t.
 
     Scans powers a^k from the threshold exponent, then integer
     perturbations of a^N, for a base element whose length pair satisfies
-    the divisibility condition with a materializable shift count; then adds
-    the forced atoms.  Each candidate is an integer n, whose max length is
-    n and whose max form is n copies of 1 (module docstring), so only its
-    min length is computed.  Raises ScanCapExceeded (with the partial
-    residue table) if the bounded scan finds none.
+    the divisibility condition with a shift count of at most
+    ``MATERIALIZE_CAP``; then adds the forced atoms.  Each candidate is an
+    integer n, whose max length is n and whose max form is n copies of 1
+    (module docstring), so only its min length is computed.  Raises
+    ScanCapExceeded (with the partial residue table) if the bounded scan
+    finds none.
     """
     if base.is_integer:
         raise ValueError("the construction requires a non-integer base q = a/b, b >= 2")
@@ -401,10 +402,10 @@ def construct_elasticity(
         score = t * n - s * ell
         residue = score % d
         log.append({"step": "scan", "k": k, "min_len": ell, "max_len": n, "residue": residue})
-        if residue == 0 and 0 <= score // d <= materialize_cap:
+        if residue == 0 and 0 <= score // d <= MATERIALIZE_CAP:
             chosen = (n, ell, {"step": "select", "kind": "power", "indices": [k], "residue": 0})
             break
-        if score // d > materialize_cap:
+        if score // d > MATERIALIZE_CAP:
             log.append({"step": "scan-stop", "reason": "shift count beyond materialization cap"})
             break
 
@@ -415,7 +416,7 @@ def construct_elasticity(
             n = base.a**n_exp + m
             ell = _integer_min_length(base, n)
             score = t * n - s * ell
-            if score >= 0 and score % d == 0 and score // d <= materialize_cap:
+            if score >= 0 and score % d == 0 and score // d <= MATERIALIZE_CAP:
                 chosen = (
                     n,
                     ell,

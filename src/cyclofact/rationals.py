@@ -49,13 +49,8 @@ def simplest_in_open(lo: Fraction, hi: Fraction) -> Fraction:
         raise ValueError("interval must lie in the nonnegative rationals")
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
-    # Fast-forward over the integer part so wide intervals do not cost
-    # one mediant step per unit.
-    base = lo.numerator // lo.denominator
-    lo_d, hi_d = lo.denominator, hi.denominator
-    lo_n, hi_n = lo.numerator - base * lo_d, hi.numerator - base * hi_d
-    if hi_d < hi_n:
-        return Fraction(base + 1)
+    lo_n, lo_d = lo.numerator, lo.denominator
+    hi_n, hi_d = hi.numerator, hi.denominator
     # Bounds ln/ld <= lo < hi <= rn/rd, starting from 0/1 and 1/0.
     ln, ld = 0, 1
     rn, rd = 1, 0
@@ -65,10 +60,10 @@ def simplest_in_open(lo: Fraction, hi: Fraction) -> Fraction:
         ln, ld = ln + t * rn, ld + t * rd
         mn, md = ln + rn, ld + rd
         if mn * hi_d < hi_n * md:
-            return Fraction(mn + base * md, md)
+            return Fraction(mn, md)
         # Steps toward lo: the largest t with (t*ln + rn)/(t*ld + rd) >= hi.
         t = (rn * hi_d - hi_n * rd) // (hi_n * ld - ln * hi_d)
         rn, rd = rn + t * ln, rd + t * ld
         mn, md = ln + rn, ld + rd
         if mn * lo_d > lo_n * md:
-            return Fraction(mn + base * md, md)
+            return Fraction(mn, md)

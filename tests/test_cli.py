@@ -477,6 +477,24 @@ def test_every_traced_layer_resolves():
         assert callable(owner), (module_name, path)
 
 
+def test_package_import_is_empty_and_cli_loads_every_traced_module():
+    # The package re-exports nothing, so importing it loads no submodule;
+    # bench/tracer.py finds each traced module in sys.modules after
+    # importing cyclofact.cli alone.
+    tracer = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import cyclofact; "
+        "bare = sorted(m for m in sys.modules if m.startswith('cyclofact.')); "
+        "import cyclofact.cli; print(json.dumps([bare, sorted(sys.modules)]))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    bare, loaded = json.loads(proc.stdout)
+    assert bare == []
+    assert {f"{tracer['PACKAGE']}.{m}" for m, _ in tracer["LAYERS"]} <= set(loaded)
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cyclofact.cli", "member", "--q", "3/2", "--value", "3"],

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import cyclofact.elasticity as elasticity
 from cyclofact.cli import main, write_scan_csv
 from cyclofact.elasticity import (
     ElasticityTarget,
@@ -105,10 +106,11 @@ class TestElasticityFormula:
         assert res.status == "inapplicable"
         assert "not finitely generated" in res.reason
 
-    def test_budget_too_small_is_inconclusive(self):
+    def test_budget_too_small_is_inconclusive(self, monkeypatch):
         res = elasticity_formula(parse_polynomial("X^3 - 2"), (F(1), F(2)), 2)
         assert res.status == "inconclusive"
-        res = elasticity_formula(parse_polynomial("X^2 - 3X + 1"), (F(5, 2), F(3)), 5, node_budget=3)
+        monkeypatch.setattr(elasticity, "NODE_BUDGET", 3)
+        res = elasticity_formula(parse_polynomial("X^2 - 3X + 1"), (F(5, 2), F(3)), 5)
         assert res.status == "inconclusive"
 
 
@@ -223,7 +225,7 @@ class TestConstructElasticity:
 
     def test_scan_cap_exhaustion_carries_partial_log(self):
         with pytest.raises(ScanCapExceeded) as err:
-            construct_elasticity(B32, ElasticityTarget(9, 1), scan_cap=1, materialize_cap=1)
+            construct_elasticity(B32, ElasticityTarget(9, 1), scan_cap=1)
         assert err.value.partial_log
 
     def test_integer_base_rejected(self):

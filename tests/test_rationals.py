@@ -42,6 +42,8 @@ def mediant_walk(lo, hi):
 @example(F(2), F(3))
 @example(F(2), F(7, 3))
 @example(F(7, 3), F(3))
+@example(10**6 + F(1, 3), F(1, 7))
+@example(10**30 + F(1, 2), F(2))
 @settings(max_examples=400, deadline=None)
 def test_batched_walk_matches_mediant_walk(lo, width):
     hi = lo + width
