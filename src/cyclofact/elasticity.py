@@ -494,9 +494,10 @@ def _canonical_forms(
     lexicographic order, as integers sum d_i a^i b^(E-i) <= bound * b^E; a
     prefix that fits extends by zeros, so no prefix is a dead end.  Keeping
     only the first `budget` prefixes of each level keeps the first `budget`
-    strings.  The digit sum is the min length; the max length is the down
-    normal form's, run along the walk: at level i >= 1 the count carry + d_i
-    keeps its remainder mod b and passes a copies per b down; level 0 keeps all.
+    strings; a level stops at budget + 1 children, enough to tell it was cut.
+    The digit sum is the min length; the max length is the down normal
+    form's, run along the walk: at level i >= 1 the count carry + d_i keeps
+    its remainder mod b and passes a copies per b down; level 0 keeps all.
     """
     bound = Fraction(bound)
     a, b = base.a, base.b
@@ -508,9 +509,11 @@ def _canonical_forms(
     complete = True
     for i in range(top, -1, -1):
         weight = a**i * b ** (top - i)
-        longer = []
+        longer, room = [], budget + 1
         for value, low, carry, high in prefixes:
-            for d in range(min(a, (limit - value) // weight + 1)):
+            digits = min(a, (limit - value) // weight + 1, room)
+            room -= digits
+            for d in range(digits):
                 moves, rest = divmod(carry + d, b) if i else (0, carry + d)
                 longer.append((value + d * weight, low + d, moves * a, high + rest))
         complete = complete and len(longer) <= budget

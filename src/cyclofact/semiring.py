@@ -72,7 +72,7 @@ N mod 1 = 0 and sends a N on, so every coefficient reaches degree 0,
 min = max = x and the length set is {x}.
 
 Everything here is pure and safe for concurrent use; enumeration keeps its
-search stack per call.
+level tables per call.
 """
 
 from __future__ import annotations
@@ -311,9 +311,14 @@ def iter_factorizations(
 ) -> Iterator[NatPoly]:
     """Stream the complete factorization set of x (exhaustive oracle).
 
-    Depth-first down the digit ladder, smaller digits first.  Raises
-    OracleBudgetExceeded when the search visits more than cap nodes.  For x
-    outside the monoid the stream is empty; x = 0 yields the empty
+    The search tree's nodes are the prefixes n_0 ... n_i of digit strings
+    down the ladder, the empty root included.  A forward pass keeps each
+    level's distinct residuals with the number of paths to them and charges
+    that count per child edge, so the budget counts tree nodes, all before
+    the first yield: OracleBudgetExceeded once more than cap are needed.  A
+    backward pass builds each residual's digit suffixes once for all its
+    parents; the root's, smaller digits first, are the depth-first order.
+    For x outside the monoid the stream is empty; x = 0 yields the empty
     factorization.
     """
     x = Fraction(x)
@@ -330,27 +335,34 @@ def iter_factorizations(
     ladder = _ladder(base, x)
     if ladder is None:
         return
-    a = base.a
-    t0, top = ladder
-    rungs = list(_rungs(a, base.b, top + 1))
+    a, (t0, top) = base.a, ladder
     budget = Budget(cap)
-    # stack[i] holds the untried (digit at level i-1, residual) nodes of level
-    # i; path[i] is the digit taken at level i on the way to the current node.
-    stack = [iter([(0, t0)])]
-    path = [0] * top
-    while stack:
-        level = len(stack) - 1
-        for n, t in stack[-1]:
-            if level:
-                path[level - 1] = n
-            budget.spend()
-            if level == top:
-                yield NatPoly([*enumerate(path), (top, t)])
-            else:
-                stack.append(_steps(a, t, *rungs[level]))
-                break
-        else:
-            stack.pop()
+    budget.spend()
+    # levels[i]: each residual of level i -> its ((i, digit) or None for 0,
+    # child residual) edges; below: each next-level residual -> its path count.
+    levels, below = [], {t0: 1}
+    for level, (weight, inverse) in zip(range(top), _rungs(a, base.b, top + 1)):
+        edges, paths, below = {}, below, {}
+        for t, count in paths.items():
+            edges[t] = steps = []
+            for n, child in _steps(a, t, weight, inverse):
+                budget.spend(count)
+                below[child] = below.get(child, 0) + count
+                steps.append(((level, n) if n else None, child))
+        levels.append(edges)
+    # Suffixes are linked (pair, rest) cells, rest None at the end.
+    suffixes = {t: [((top, t), None) if t else None] for t in below}
+    while levels:
+        suffixes = {
+            t: [(pair, rest) if pair else rest for pair, child in steps for rest in suffixes[child]]
+            for t, steps in levels.pop().items()
+        }
+    for rest in suffixes[t0]:
+        pairs = []
+        while rest:
+            pair, rest = rest
+            pairs.append(pair)
+        yield NatPoly(pairs)
 
 
 def enumerate_factorizations(

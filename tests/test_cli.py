@@ -208,26 +208,31 @@ def test_non_member_value_names_the_flag(capsys):
     }
 
 
+def run_limited(argv, address_space):
+    """(completed process, seconds) of the CLI in a subprocess whose address
+    space is capped, with a timeout so that a regression fails, not hangs."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclofact.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)),
+    )
+    return proc, time.perf_counter() - start
+
+
 def test_bases_near_one_exit_2_before_building_the_ladder():
     # q = 1 + 10^-9 puts about 6.9*10^8 levels under 2, on integers of about
     # 2*10^10 bits: the size check must refuse them before any power is taken.
     # At q = 1000/999, a value of 10^20000 needs about 4.6*10^8 bits, and the
     # message names its digit counts instead of printing all 20,001 digits.
-    # A subprocess with a timeout, so that a regression fails instead of hanging.
     for argv in (
         ("member", "--q", "1000000001/1000000000", "--value", "2"),
         ("elasticity-scan", "--q", "1000000001/1000000000", "--bound", "2"),
         ("member", "--q", "1000/999", "--value", "1" + "0" * 20000),
     ):
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "cyclofact.cli", *argv],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
-        )
-        elapsed = time.perf_counter() - start
+        proc, elapsed = run_limited(argv, 2**31)
         assert proc.returncode == EXIT_BUDGET, proc.stderr
         assert json.loads(proc.stderr)["error"]["type"] == "OracleBudgetExceeded"
         assert len(proc.stderr) < 300
@@ -238,13 +243,7 @@ def test_bases_near_one_exit_2_before_building_the_ladder():
 def test_huge_antiprime_bound_exits_2_before_building_the_ladder():
     # At q = 999/1000, K = 10^20000 puts N near 4.6*10^7: the threshold
     # exponent's size check must refuse it instead of multiplying up to it.
-    proc = subprocess.run(
-        [sys.executable, "-m", "cyclofact.cli", "antiprime", "--q", "999/1000", "--k", "0", "--K", "1" + "0" * 20000],
-        capture_output=True,
-        text=True,
-        timeout=30,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
-    )
+    proc, _ = run_limited(("antiprime", "--q", "999/1000", "--k", "0", "--K", "1" + "0" * 20000), 2**31)
     assert proc.returncode == EXIT_BUDGET, proc.stderr[:300]
     assert json.loads(proc.stderr)["error"] == {
         "type": "OracleBudgetExceeded",
@@ -253,6 +252,33 @@ def test_huge_antiprime_bound_exits_2_before_building_the_ladder():
     }
     assert len(proc.stderr) < 300
     assert not proc.stdout
+
+
+def test_enumeration_budget_is_charged_per_child():
+    # Level 0 of 10^12 at q = 3/2 admits about 3*10^11 digits, and that of
+    # 3^40 about 4*10^18: a search that built a whole level before charging
+    # it would never get to the cap of 1000.
+    for value in (10**12, 3**40):
+        proc, elapsed = run_limited(
+            ("factorize", "--q", "3/2", "--value", str(value), "--enumerate", "--oracle-cap", "1000"), 2**31
+        )
+        assert proc.returncode == EXIT_BUDGET, proc.stderr[:300]
+        assert proc.stderr == '{"error": {"type": "OracleBudgetExceeded", "message": "oracle budget exhausted"}}\n'
+        assert not proc.stdout
+        assert elapsed < 1.0, elapsed
+
+
+def test_partial_scan_stops_each_level_at_the_budget():
+    # At q = 99999/2 one prefix admits up to 99999 digits, so 100 prefixes
+    # extended in full put about 10^7 rows in a level: past 1 GiB.
+    proc, _ = run_limited(
+        ("elasticity-scan", "--q", "99999/2", "--bound", "1" + "0" * 15, "--oracle-cap", "100"), 2**30
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), proc.stderr[-300:]
+    assert proc.stdout.endswith("# manifest: partial rows=99\n")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "ae99e741fc995f2db32d1983a11fd2f282cdc2dd974e836a027fdb6df6d999f5"
+    )
 
 
 def test_integer_flag_errors(capsys):
@@ -418,6 +444,30 @@ def test_antiprime_documents_are_pinned(q, capsys):
             assert (code, err) == (EXIT_OK, "")
             digest.update(out.encode())
     assert digest.hexdigest() == ANTIPRIME_DIGESTS[q]
+
+
+# sha256 of `factorize --enumerate` stdout: the bench's enumerated values,
+# plus 7/5, 8/5 and a value with a power-of-b denominator.
+ENUMERATE_DIGESTS = {
+    ("3/2", "27"): "94e7c6d584fbad4e8ed873d9af74ecc42294c91c8cc2d1ebe22c0eaa603244f8",
+    ("3/2", "54"): "f6b557e502d23635171bd2c64e909f78de79719eff637a85bd1bff765f19b45d",
+    ("3/2", "81"): "ffc926175fa2f794c09ecb0222e8b07499c97d4a07a9da4b3dd7b7244710ef0a",
+    ("5/3", "75"): "fda58da98e09a2094ef13af4b2aa13740c3bcc1f5a008f05b602b884384c61bc",
+    ("5/3", "125"): "484941332f329b05e02964b3c7b0b0daaf34271a75f7287a8446804365e0cf95",
+    ("7/4", "49"): "346b683f97efc531f5c497ec702860f5998a5e5336e5a3f5bd6b0cc87c403211",
+    ("7/4", "100"): "036d5e0e5b0b5faafb806c9802d4b620b78ae31e6e25061f153b21d0e484325d",
+    ("5/2", "125"): "d974383ca0ec07d68917232b0f8e0059b2af55ca9347359254866867d572c203",
+    ("7/5", "49"): "bdf4a0a2c674a0de941b13dcfe46e358fa9bea385044f1973628c9b02d523f95",
+    ("8/5", "64"): "efe74d3059ae643934698cda4303c2bf198cdfefabee0ecd5cd072386d34aad9",
+    ("3/2", "339/32"): "f921c2bc313f61f3918f88e0bb974cf2702efb443d8d01548a3588ee6f372f08",
+}
+
+
+def test_factorize_enumerate_documents_are_pinned(capsys):
+    for (q, value), pinned in ENUMERATE_DIGESTS.items():
+        code, out, err = run_cli(capsys, "factorize", "--q", q, "--value", value, "--enumerate")
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned, (q, value)
 
 
 def test_antiprime_at_k_100_is_pinned_and_linear_in_its_output(capsys):

@@ -117,6 +117,46 @@ def enumerate_length_set_dp(base, x, cap=10**6):
     return {l for l, bit in enumerate(reversed(bin(lengths[t0]))) if bit == "1"}
 
 
+def iter_factorizations_dfs(base, x, budget):
+    """Reference for iter_factorizations: depth-first down the digit ladder
+    with an explicit stack, smaller digits first, spending one state of the
+    Budget per search-tree node (digit-string prefix, root included) as it
+    visits it, so it can yield some factorizations before it runs out."""
+    x = F(x)
+    if x < 0:
+        raise ValueError("monoid elements are nonnegative")
+    if x == 0:
+        yield NatPoly.zero()
+        return
+    if base.is_integer:
+        if x.denominator == 1:
+            yield NatPoly({0: x.numerator})
+        return
+    ladder = _ladder(base, x)
+    if ladder is None:
+        return
+    a = base.a
+    t0, top = ladder
+    rungs = list(_rungs(a, base.b, top + 1))
+    # stack[i] holds the untried (digit at level i-1, residual) nodes of level
+    # i; path[i] is the digit taken at level i on the way to the current node.
+    stack = [iter([(0, t0)])]
+    path = [0] * top
+    while stack:
+        level = len(stack) - 1
+        for n, t in stack[-1]:
+            if level:
+                path[level - 1] = n
+            budget.spend()
+            if level == top:
+                yield NatPoly([*enumerate(path), (top, t)])
+            else:
+                stack.append(_steps(a, t, *rungs[level]))
+                break
+        else:
+            stack.pop()
+
+
 def member_witness_walk(base, x):
     """Reference for member_witness: the forced digit of one level at a time.
 
@@ -465,6 +505,50 @@ class TestEnumeration:
                 x = F(base.a**k)
                 lengths = {z.length() for z in enumerate_factorizations(base, x)}
                 assert enumerate_length_set_dp(base, x) == lengths
+
+
+ENUMERATION_BASES = DC_BASES + [RationalBase(7, 4), RationalBase(2, 1)]
+DFS_CAP = 20_000
+
+
+@st.composite
+def enumeration_cases(draw):
+    """(base, x): an integer, a value with a power-of-b denominator (a
+    member or not), or a fraction that is mostly outside the monoid."""
+    base = draw(st.sampled_from(ENUMERATION_BASES))
+    a, b = base.a, base.b
+    kind = draw(st.sampled_from(("integer", "power of b", "other")))
+    if kind == "integer":
+        return base, F(draw(st.integers(0, a**3)))
+    if kind == "power of b":
+        denominator = b ** draw(st.integers(1, 4))
+        return base, F(draw(st.integers(1, a**3 * denominator)), denominator)
+    return base, F(draw(st.integers(0, 300)), draw(st.integers(2, 60)))
+
+
+def budget_outcome(factorizations):
+    """The list of factorizations, or None when the budget runs out."""
+    try:
+        return list(factorizations)
+    except OracleBudgetExceeded:
+        return None
+
+
+@given(enumeration_cases(), st.integers(1, 50))
+@settings(max_examples=300, deadline=None)
+def test_iter_factorizations_matches_the_depth_first_search(case, small_cap):
+    # Same factorizations in the same order, and the budget runs out at
+    # exactly the same caps: 1, a small one, and the search's node count and
+    # one less (or DFS_CAP when the search needs more).
+    base, x = case
+    budget = Budget(DFS_CAP)
+    caps = {1, small_cap, DFS_CAP}
+    if budget_outcome(iter_factorizations_dfs(base, x, budget)) is not None:
+        nodes = DFS_CAP - budget.left
+        caps |= {nodes - 1, nodes}
+    for cap in caps:
+        expected = budget_outcome(iter_factorizations_dfs(base, x, Budget(cap)))
+        assert budget_outcome(iter_factorizations(base, x, cap)) == expected, cap
 
 
 class TestLengthStats:
