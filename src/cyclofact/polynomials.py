@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import abc
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -34,7 +33,7 @@ class ZeroPolynomialError(ValueError):
 
 
 def _clean(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> dict[int, int]:
-    items = terms.items() if isinstance(terms, abc.Mapping) else terms
+    items = terms.items() if hasattr(terms, "items") else terms
     out: dict[int, int] = {}
     for deg, coeff in items:
         if deg < 0:

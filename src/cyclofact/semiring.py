@@ -31,38 +31,33 @@ factorization, and every length in between occurs:
   (Comm. Algebra 2020, arXiv:1904.00219), and length_stats builds it from
   the two normal forms.
 
-The down normal form and the witness of an integer come from one carry pass
+The down normal form and every membership witness come from one carry pass
 over a run of degrees.  Each keeps N mod keep of N, its coefficient plus the
 carry in, and sends send * (N div keep) on to the next degree.  The down
 form keeps b and sends a from the top degree to degree 1; degree 0 keeps the
-carry out.  An integer x is x copies of q^0: its witness, the up form, keeps
-a and sends b up the top+1 levels of max_atom_exponent, past which nothing
-is carried, as q^(top+1) > x.  A carry keep^L Q + R into L levels leaves
-their digits to R and adds send^L Q to their carry out (keep^L Q adds a
-multiple of keep at the first level and passes on as keep^(L-1) send Q;
-induct on L), so a run splits at m = L // 2 as the ladder below does.
+carry out.  The witness, the up form, keeps a and sends b up the L = top+1
+levels of max_atom_exponent, as no atom past q^top fits under x.  A carry
+keep^L Q + R into L levels leaves their digits to R and adds send^L Q to
+their carry out (keep^L Q adds a multiple of keep at the first level and
+passes on as keep^(L-1) send Q; induct on L), so a run splits at m = L // 2.
 
-Any other x, and enumeration, walk one integer digit ladder, the only pass
-that takes a power-of-b denominator; the up normal form of a presentation is
-the witness of its value.  A factorization sum n_i q^i of x has i <= top,
-so t_0 = x * b^top must be an integer.  Level i carries the residual t_i
-and the weight w_i = b^(top-i), and t_(i+1) = (t_i - n_i w_i) / a; so
+The witness of x = num/den carries one integer up from q^0.  A member's
+denominator divides b^top, so x is out unless den divides b^L; then den is
+prime to a, and r = -num a^-L mod den (0 for an integer) makes the start
+value s = (num + a^L r) / den an integer.  The carry leaves digits d_i < a
+and a carry out c with s = sum d_i q^i + q^L c.  Since s - x = q^L r b^L /
+den, x is a member iff c = r b^L / den:
+* If it holds, the digits evaluate to x, and they are its up form.
+* If x is a member, its up form and r b^L / den copies of q^L present s;
+  b^L times s, read bottom-up, forces each digit below level L modulo a
+  whatever sits at level L, so those are the carry's digits and its c.
+
+Enumeration alone walks one integer digit ladder, the rational base
+numeration of Akiyama, Frougny & Sakarovitch (Israel J. Math. 168, 2008)
+read a-adically.  A factorization sum n_i q^i of x has i <= top, so
+t_0 = x * b^top must be an integer.  Level i carries the residual t_i and
+the weight w_i = b^(top-i), and t_(i+1) = (t_i - n_i w_i) / a; so
 n_i w_i <= t_i, n_i = t_i / w_i (mod a), and the top digit is t_top itself.
-Membership takes the least, forced, digit at every level: x is a member iff
-the residual past level top is 0.  A negative residual stays negative, since
-t_(i+1) <= t_i / a, so it needs no check of its own.
-
-The forced digits at levels < m depend only on t_0 mod a^m: t_i mod a fixes
-n_i, and t_i mod a^(m-i) fixes t_(i+1) mod a^(m-i-1).  So member_witness
-splits the L = top+1 levels at m = L // 2.  With c = b^(L-m), the common
-factor of the low weights, the low digits are those of the m-level ladder on
-low = t_0 c^-1 mod a^m.  If that ladder ends at residual R, its digits give
-S = sum n_i a^i b^(m-1-i) = low - a^m R, and t_m = (t_0 - c S) / a^m
-exactly; the upper L-m levels are the ladder on t_m.  Recursing on both
-halves down to a few dozen levels (depth log2 L) replaces L full-width steps
-with big-number products of the halves' sizes.  This is the rational base
-numeration of Akiyama, Frougny & Sakarovitch (Israel J. Math. 168, 2008),
-read a-adically.
 
 For integer q (b = 1) the monoid is all of the nonnegative integers, a UFM:
 the single factorization of x is x copies of the atom 1, and membership,
@@ -87,7 +82,7 @@ from .polynomials import NatPoly
 DEFAULT_ORACLE_CAP = 10**6
 # No ladder or carry runs on integers past this many bits (max_atom_exponent).
 MAX_LADDER_BITS = 2**28
-# Ladders and carry passes of more levels than this are split in two.
+# Carry passes of more levels than this are split in two.
 _SPLIT_LEVELS = 32
 
 
@@ -188,7 +183,8 @@ def _integer_witness(x: Fraction) -> Optional[NatPoly]:
 
 
 def _ladder(base: RationalBase, x: Fraction) -> Optional[tuple[int, int]]:
-    """(t_0, top) of x's digit ladder, or None if x < 1 or t_0 is fractional."""
+    """(t_0, top) of the digit ladder that enumeration walks, or None if
+    x < 1 or t_0 is fractional."""
     top = max_atom_exponent(base, x)
     if top < 0:
         return None
@@ -212,24 +208,6 @@ def _steps(a: int, t: int, weight: int, inverse: int) -> Iterator[tuple[int, int
     return ((n, (t - n * weight) // a) for n in range(t % a * inverse % a, t // weight + 1, a))
 
 
-def _forced_digits(a: int, b: int, t: int, levels: int, digits: dict[int, int], offset: int) -> int:
-    """The residual left after `levels` levels from t, with the nonzero forced
-    digits put into digits at level + offset; ladders of more than
-    _SPLIT_LEVELS levels are split in two (module docstring)."""
-    if levels > _SPLIT_LEVELS:
-        m = levels // 2
-        am, c = a**m, b ** (levels - m)
-        low = t % am * pow(c, -1, am) % am
-        s = low - am * _forced_digits(a, b, low, m, digits, offset)
-        return _forced_digits(a, b, (t - c * s) // am, levels - m, digits, offset + m)
-    for level, (weight, inverse) in enumerate(_rungs(a, b, levels), offset):
-        n = t % a * inverse % a
-        t = (t - n * weight) // a
-        if n:
-            digits[level] = n
-    return t
-
-
 def _carry(terms: dict[int, int], start: int, step: int, levels: int, carry: int, keep: int, send: int) -> int:
     """The carry out of the module docstring's pass over `levels` degrees
     start, start + step, ...; each degree's kept digit replaces its term."""
@@ -250,10 +228,10 @@ def member_witness(base: RationalBase, x: Fraction) -> Optional[NatPoly]:
     """Witness factorization of x, or None when x is not in the monoid.
 
     The returned witness is the canonical sub-a digit representation, i.e.
-    already the minimum-length factorization.  An integer x is carried up
-    from x copies of q^0 (keep a, send b) over its top+1 levels; any other
-    x reads the forced digit of each level of the ladder.  Both split long
-    runs in two; no search is involved.
+    already the minimum-length factorization: the start value s of x,
+    carried up (keep a, send b) over the top+1 levels, with the exact test
+    on the carry out of the module docstring.  An integer is its own s.
+    The carry splits long runs in two; no search is involved.
     """
     x = Fraction(x)
     if x < 0:
@@ -262,15 +240,18 @@ def member_witness(base: RationalBase, x: Fraction) -> Optional[NatPoly]:
         return NatPoly.zero()
     if base.is_integer:
         return _integer_witness(x)
+    a, b = base.a, base.b
+    num, den = x.numerator, x.denominator
+    levels = max_atom_exponent(base, x) + 1
+    start, rest = num, 0  # an integer is its own start value
+    if den > 1:
+        weight, extra = divmod(b**levels, den)
+        if extra:
+            return None
+        r = -num * pow(a, -levels, den) % den
+        start, rest = (num + a**levels * r) // den, r * weight
     digits: dict[int, int] = {}
-    if x.denominator == 1:
-        _carry(digits, 0, 1, max_atom_exponent(base, x) + 1, x.numerator, base.a, base.b)
-        return NatPoly(digits)
-    ladder = _ladder(base, x)
-    if ladder is None:
-        return None
-    t, top = ladder
-    if _forced_digits(base.a, base.b, t, top + 1, digits, 0):
+    if _carry(digits, 0, 1, levels, start, a, b) != rest:
         return None
     return NatPoly(digits)
 

@@ -227,8 +227,13 @@ def test_bases_near_one_exit_2_before_building_the_ladder():
     # 2*10^10 bits: the size check must refuse them before any power is taken.
     # At q = 1000/999, a value of 10^20000 needs about 4.6*10^8 bits, and the
     # message names its digit counts instead of printing all 20,001 digits.
+    # Non-integers take the check too: 2000000003/1000000001, whose
+    # denominator is a, before the denominator test, and 5/2 before its
+    # start value is built.
     for argv in (
         ("member", "--q", "1000000001/1000000000", "--value", "2"),
+        ("member", "--q", "1000000001/1000000000", "--value", "2000000003/1000000001"),
+        ("member", "--q", "1000000001/1000000000", "--value", "5/2"),
         ("elasticity-scan", "--q", "1000000001/1000000000", "--bound", "2"),
         ("member", "--q", "1000/999", "--value", "1" + "0" * 20000),
     ):

@@ -269,11 +269,13 @@ class TestMembership:
             member_witness(B32, F(-1))
 
     def test_agrees_with_brute_force_closure(self):
+        # Denominators 3, 6, 9, 12 and 15 share the factor 3 with a.
         bound = F(6)
         members = brute_force_members(B32, bound)
-        for num in range(0, bound.numerator * 16 + 1):
-            x = F(num, 16)
-            assert (member_witness(B32, x) is not None) == (x in members), x
+        for den in range(1, 17):
+            for num in range(0, bound.numerator * den + 1):
+                x = F(num, den)
+                assert (member_witness(B32, x) is not None) == (x in members), x
 
     def test_integer_base_is_plain_naturals(self):
         base = RationalBase(2, 1)
@@ -281,7 +283,16 @@ class TestMembership:
         assert member_witness(base, F(9, 2)) is None
 
 
-DC_BASES = [RationalBase(3, 2), RationalBase(5, 3), RationalBase(7, 5), RationalBase(8, 5), RationalBase(5, 2)]
+# 11/10 has a composite b: a value n/b^k reduces to a denominator that is
+# not a power of b, such as 5 * 10^29.
+DC_BASES = [
+    RationalBase(3, 2),
+    RationalBase(5, 3),
+    RationalBase(7, 5),
+    RationalBase(8, 5),
+    RationalBase(5, 2),
+    RationalBase(11, 10),
+]
 
 
 @st.composite
@@ -291,7 +302,7 @@ def ladders(draw):
     Either x is the member with the drawn sub-a digits below a nonzero digit
     at levels-1 (digits is then its up normal form), or x = n/b^(levels-1)
     with q^(levels-1) <= x < q^levels, so exactly `levels` levels, a member
-    or a non-member whose denominator is a power of b (digits is None).
+    or a non-member whose denominator divides a power of b (digits is None).
     """
     base = draw(st.sampled_from(DC_BASES))
     a, b = base.a, base.b
@@ -348,7 +359,7 @@ def integers_near_splits(draw):
     a, b = base.a, base.b
     levels = draw(st.sampled_from([_SPLIT_LEVELS - 1, _SPLIT_LEVELS, _SPLIT_LEVELS + 1, 2 * _SPLIT_LEVELS + 1]))
     centre = draw(st.sampled_from([a**32, a**64, a**300, -(-(a**levels) // b**levels)]))
-    offset = draw(st.one_of(st.integers(-(a**3), a**3), st.integers(-(centre // 2), centre // 2)))
+    offset = draw(st.one_of(st.integers(-min(a**3, centre), a**3), st.integers(-(centre // 2), centre // 2)))
     return base, centre + offset
 
 
