@@ -20,14 +20,19 @@ perturbations a^N + m.  Scanning powers alone can leave the shift count c at
 the scale of a^k itself, far beyond anything materializable, while the
 perturbation offset walks the residue of t*L - s*ell through every class
 modulo s-t at fixed magnitude; the materialization cap ``MATERIALIZE_CAP``
-on the shift count keeps certificates explicit.  A target that neither phase
+on the shift count keeps certificates explicit.  Adding the atom 1 to a min
+factorization of n gives ell(n+1) <= ell(n) + 1, so t*L - s*ell falls by at
+most s-t per offset; the perturbation phase stops as soon as no offset left
+can bring the shift count down to the cap.  A target that neither phase
 reaches within the caps raises ``ScanCapExceeded``.
 
 Every candidate is an integer n, and n copies of the atom 1 have no digit at
 degree >= 1, so by the uniqueness proof in the ``semiring`` docstring they
 are the down normal form: L = n, and that form is the presentation the
-forced atoms extend.  Only ell, the digit sum of the membership witness,
-takes a carry pass; no candidate runs a normal-form pass.
+forced atoms extend.  Only ell, the digit sum of the up form, takes a pass:
+the plain up carry of n, with no level count and no digit table.  Once the
+gaps between forced atoms settle, the remaining atoms come in closed form
+(``forced_atom_shift``): no per-atom loop runs past the transient.
 
 Density scans need no search: each element is read off its unique digit
 string with all digits below a, its up normal form (the min length); the
@@ -52,7 +57,6 @@ from .semiring import (
     RationalBase,
     length_stats,
     max_atom_exponent,
-    member_witness,
 )
 
 DEFAULT_SCAN_CAP = 200
@@ -291,6 +295,21 @@ class ForcedShift:
     forced_exponents: tuple[int, ...]
 
 
+def _settled_gap(a: int, b: int) -> Optional[int]:
+    """The gap g >= 1 whose fixed point a^g/(a^g - b^g) picks gap g, if any.
+
+    The fixed point picks g when q^g(q-1) > a^g/(a^g - b^g), that is
+    b^(g+1) < (a-b)(a^g - b^g), and, for g > 1, when
+    q^(g-1)(q-1) <= a^g/(a^g - b^g), that is a b^g >= (a-b)(a^g - b^g).
+    q^g(q-1) grows with g and the fixed point falls, so the first condition
+    holds from its smallest g on, and only that g can meet the second.
+    """
+    g, ag, bg = 1, a, b
+    while not b * bg < (a - b) * (ag - bg):
+        g, ag, bg = g + 1, ag * a, bg * b
+    return g if g == 1 or a * bg >= (a - b) * (ag - bg) else None
+
+
 def forced_atom_shift(
     base: RationalBase, beta: Fraction, presentation: NatPoly, shifts: int
 ) -> ForcedShift:
@@ -303,6 +322,19 @@ def forced_atom_shift(
 
     The loop runs on integers: value = v/b^n and q^n = a^n/b^n, so the
     test is a^n*(a-b) > v*b.
+
+    Once the gap settles, the remaining atoms come in closed form.  After
+    an atom at q^n, with value V = v/b^n, let rho = V/q^n = v/a^n.  The next
+    gap is the smallest g >= 1 with q^g(q-1) > rho, so rho picks g exactly
+    on I_g = [q^(g-1)(q-1), q^g(q-1)) (I_1 = (0, q(q-1))), and the
+    atom maps rho to f(rho) = 1 + rho (b/a)^g.  f is increasing with slope
+    (b/a)^g < 1 and fixed point rho* = a^g/(a^g - b^g), so f(x) lies between
+    x and rho*.  If rho and rho* both lie in the interval I_g, so does every
+    later rho, and every later gap is g (``_settled_gap`` finds the one g
+    whose rho* can lie in I_g; 8/5 and 21/13 have none).  The j atoms left
+    then sit at n+g, ..., n+jg, and the value's numerator over b^(n+jg) is
+    v b^(gj) + sum_(i=1..j) a^(n+ig) b^(g(j-i))
+    = v b^(gj) + a^(n+g) (a^(gj) - b^(gj)) / (a^g - b^g).
     """
     if base.is_integer:
         raise ValueError("forced atoms require a non-integer base (q not an algebraic integer)")
@@ -320,7 +352,8 @@ def forced_atom_shift(
     # beta's denominator divides b^degree, so v = beta * b^n is an integer.
     v = beta.numerator * (b**n // beta.denominator)
     an = a**n
-    for _ in range(shifts):
+    g = _settled_gap(a, b)
+    for left in reversed(range(shifts)):
         while not an * (a - b) > v * b:
             n += 1
             an *= a
@@ -328,6 +361,17 @@ def forced_atom_shift(
         terms[n] = terms.get(n, 0) + 1
         v += an
         forced.append(n)
+        # rho = v/a^n lies in I_g: q^g(q-1) > rho, and rho >= q^(g-1)(q-1) for g > 1.
+        if g and v * b ** (g + 1) < an * a**g * (a - b) and (
+            g == 1 or v * b**g >= an * a ** (g - 1) * (a - b)
+        ):
+            ag, bg = a**g, b**g
+            settled = range(n + g, n + left * g + 1, g)
+            terms.update(dict.fromkeys(settled, 1))
+            forced.extend(settled)
+            v = v * bg**left + an * ag * ((ag**left - bg**left) // (ag - bg))
+            n += left * g
+            break
         n += 1
         an *= a
         v *= b
@@ -356,10 +400,18 @@ class ElasticityCertificate:
 
 
 def _integer_min_length(base: RationalBase, n: int) -> int:
-    """The min length of the integer n >= 1: its membership witness's digit sum."""
-    witness = member_witness(base, Fraction(n))
-    assert witness is not None
-    return witness.length()
+    """The min length of the integer n >= 1: the digit sum of its up form.
+
+    The ``semiring`` docstring's up carry from q^0: each level keeps its
+    count mod a and sends b copies up per a, until nothing is left.
+    """
+    a, b = base.a, base.b
+    total = 0
+    while n:
+        n, d = divmod(n, a)
+        total += d
+        n *= b
+    return total
 
 
 def construct_elasticity(
@@ -374,9 +426,11 @@ def construct_elasticity(
     the divisibility condition with a shift count of at most
     ``MATERIALIZE_CAP``; then adds the forced atoms.  Each candidate is an
     integer n, whose max length is n and whose max form is n copies of 1
-    (module docstring), so only its min length is computed.  Raises
-    ScanCapExceeded (with the partial residue table) if the bounded scan
-    finds none.
+    (module docstring), so only its min length is computed, by the plain up
+    carry.  The perturbations stop early once no offset up to scan_cap can
+    reach the cap (module docstring); phase B logs no rows, so where it
+    stops does not show in the error.  Raises ScanCapExceeded (with the partial residue table) if
+    the bounded scan finds none.
     """
     if base.is_integer:
         raise ValueError("the construction requires a non-integer base q = a/b, b >= 2")
@@ -411,11 +465,17 @@ def construct_elasticity(
 
     # Phase B: integer perturbations a^N + m.  The offset walks the residue
     # of t*L - s*ell through the classes modulo s-t at bounded magnitude.
+    # ell(n+1) <= ell(n) + 1 (add the atom 1), so the score falls by at most
+    # d per offset: once score // d exceeds the cap by more than the offsets
+    # left, no offset up to scan_cap can be selected.
     if chosen is None:
+        power = base.a**n_exp
         for m in range(1, scan_cap + 1):
-            n = base.a**n_exp + m
+            n = power + m
             ell = _integer_min_length(base, n)
             score = t * n - s * ell
+            if score // d - (scan_cap - m) > MATERIALIZE_CAP:
+                break
             if score >= 0 and score % d == 0 and score // d <= MATERIALIZE_CAP:
                 chosen = (
                     n,

@@ -286,6 +286,30 @@ def test_partial_scan_stops_each_level_at_the_budget():
     )
 
 
+def test_huge_elasticity_targets_stop_phase_b_at_once():
+    # At a target of 10^1000 every offset's shift count is far past the cap:
+    # the score can fall by at most s - t per offset, so phase B stops at its
+    # first offset instead of carrying 200 integers of 9k (3/2) to 19k (7/5) bits.
+    for q, digest in (
+        ("7/5", "8c2140c69f2729953a76277f685b96e185c2210d5c9a719ffb63a2e712049f15"),
+        ("3/2", "2d0d9371f952e6118b6496b2b22bafc7ac59b9f89433ed5077e3483b12f495a5"),
+    ):
+        argv = ("construct-elasticity", "--q", q, "--target", "1" + "0" * 1000 + "/1")
+        proc, elapsed = run_limited(argv, 2**31)
+        assert (proc.returncode, proc.stdout) == (EXIT_BUDGET, ""), proc.stderr[:300]
+        assert hashlib.sha256(proc.stderr.encode()).hexdigest() == digest
+        assert elapsed < 2.0, elapsed
+
+
+def test_construct_elasticity_scan_cap_errors(capsys):
+    # The benchmark's four known construct-elasticity failures.
+    for q, target in (("5/3", "19/2"), ("7/4", "17/1"), ("7/4", "18/1"), ("7/4", "19/1")):
+        code, out, err = run_cli(capsys, "construct-elasticity", "--q", q, "--target", target)
+        assert (code, out) == (EXIT_BUDGET, "")
+        message = f"no base element with (s-t) | tL - s*ell found within scan cap 200 for target {target} at q={q}"
+        assert err == json.dumps({"error": {"type": "ScanCapExceeded", "message": message}}) + "\n"
+
+
 def test_integer_flag_errors(capsys):
     for argv, message in (
         (("member", "--q", "3/2", "--value", "3", "--oracle-cap", "0"),

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import cyclofact.elasticity as elasticity
 from cyclofact.cli import main, write_scan_csv
@@ -36,7 +36,12 @@ from cyclofact.semiring import (
 from test_semiring import BASES, brute_force_members
 
 B32 = RationalBase(3, 2)
-SHIFT_BASES = [RationalBase(3, 2), RationalBase(5, 3), RationalBase(7, 4), RationalBase(5, 2)]
+# The first four settle at once; 7/5, 11/10, 13/6 and 9/7 settle after a
+# transient or at gap 1; 8/5 and 21/13 never settle.
+SHIFT_BASES = [
+    RationalBase(a, b)
+    for a, b in ((3, 2), (5, 3), (7, 4), (5, 2), (7, 5), (11, 10), (13, 6), (9, 7), (8, 5), (21, 13))
+]
 GRID_BASES = [RationalBase(3, 2), RationalBase(5, 3), RationalBase(5, 2), RationalBase(7, 4)]
 
 
@@ -133,6 +138,31 @@ def fraction_forced_shift(q, beta, presentation, shifts):
     return value, NatPoly(terms), tuple(forced)
 
 
+def forced_atom_shift_walk(base, beta, presentation, shifts):
+    """Reference for forced_atom_shift: the integer loop, one atom at a time.
+
+    value = v/b^n and q^n = a^n/b^n, so q^n(q-1) > value is a^n(a-b) > v b.
+    """
+    a, b = base.a, base.b
+    terms = presentation.terms
+    forced = []
+    n = presentation.degree() + 1
+    v = beta.numerator * (b**n // beta.denominator)
+    an = a**n
+    for _ in range(shifts):
+        while not an * (a - b) > v * b:
+            n += 1
+            an *= a
+            v *= b
+        terms[n] = terms.get(n, 0) + 1
+        v += an
+        forced.append(n)
+        n += 1
+        an *= a
+        v *= b
+    return F(v, b**n), NatPoly(terms), tuple(forced)
+
+
 class TestForcedAtomShift:
     @given(
         st.sampled_from(SHIFT_BASES),
@@ -146,6 +176,33 @@ class TestForcedAtomShift:
         shift = forced_atom_shift(base, beta, pres, shifts)
         expected = fraction_forced_shift(base.q, beta, pres, shifts)
         assert (shift.element, shift.presentation, shift.forced_exponents) == expected
+
+    @given(
+        st.sampled_from(SHIFT_BASES),
+        st.dictionaries(st.integers(0, 8), st.integers(1, 12), min_size=1, max_size=5),
+        st.integers(0, 2000),
+    )
+    @example(RationalBase(11, 10), {0: 1}, 2000)  # the longest transient
+    @example(RationalBase(21, 13), {3: 2}, 2000)  # never settles
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_per_atom_walk_up_to_the_materialization_cap(self, base, terms, shifts):
+        pres = NatPoly(terms)
+        beta = pres.eval(base.q)
+        shift = forced_atom_shift(base, beta, pres, shifts)
+        expected = forced_atom_shift_walk(base, beta, pres, shifts)
+        assert (shift.element, shift.presentation, shift.forced_exponents) == expected
+
+    def test_settled_gap_per_base(self):
+        gaps = {base: elasticity._settled_gap(base.a, base.b) for base in SHIFT_BASES}
+        assert {str(base): g for base, g in gaps.items()} == {
+            "3/2": 3, "5/3": 2, "7/4": 2, "5/2": 1, "7/5": 4, "11/10": 26,
+            "13/6": 1, "9/7": 6, "8/5": None, "21/13": None,
+        }
+        # Once settled, a long shift ends in steps of that gap.
+        for base, g in gaps.items():
+            tail = forced_atom_shift(base, F(1), NatPoly({0: 1}), 300).forced_exponents[-50:]
+            steps = {y - x for x, y in zip(tail, tail[1:])}
+            assert (steps == {g}) if g else (len(steps) > 1), base
 
     def test_single_shift_example(self):
         shift = forced_atom_shift(B32, F(3), NatPoly({0: 3}), 1)
@@ -254,6 +311,30 @@ def test_certificate_documents_are_pinned(q):
     assert digest.hexdigest() == CERTIFICATE_DIGESTS[q]
 
 
+# The same targets where the forced gap settles later or never: 7/5 (gap 4),
+# 11/10 (gap 26), 13/6 (gap 1) and 8/5 (no gap).  Some of these targets exit
+# 2, so each call adds its exit code, stdout and stderr to the sha256:
+# (digest, number of non-zero exits).
+OUTCOME_DIGESTS = {
+    "7/5": ("fcbaa63f112c8bb333e19c3ac42a113f57103fdf81861b036d11d93b5263b0fe", 10),
+    "8/5": ("7ef637d788dfe3b9e84b160f8f7ca116390270b81c54c252b695b15540ad7878", 5),
+    "11/10": ("6e9c3a39a2c9627d332c6418bf14559613d752bd896fda18f6dfbc996f2c70c5", 35),
+    "13/6": ("c3f7ccb021ae74d65b61d837ce2f85c8603581a0b0692f0613843e1867b11bbc", 2),
+}
+
+
+@pytest.mark.parametrize("q", sorted(OUTCOME_DIGESTS))
+def test_certificate_outcomes_are_pinned_on_more_bases(q):
+    digest, failures = hashlib.sha256(), 0
+    for target in coprime_targets(11):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["construct-elasticity", "--q", q, "--target", f"{target.s}/{target.t}"])
+        failures += code != 0
+        digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
+    assert (digest.hexdigest(), failures) == OUTCOME_DIGESTS[q]
+
+
 @pytest.mark.parametrize("base", GRID_BASES + [RationalBase(7, 5), RationalBase(11, 10)], ids=str)
 @given(n=st.integers(min_value=1, max_value=10**40))
 @settings(max_examples=60, deadline=None)
@@ -261,6 +342,14 @@ def test_max_form_of_an_integer_is_copies_of_one(base, n):
     # The fact construct_elasticity leans on: an integer's max form is n
     # copies of the atom 1, whatever its min form.
     assert down_normal_form(base, member_witness(base, F(n))) == NatPoly({0: n})
+
+
+@pytest.mark.parametrize("base", GRID_BASES + [RationalBase(7, 5), RationalBase(11, 10)], ids=str)
+@given(n=st.integers(min_value=1, max_value=10**40))
+@settings(max_examples=60, deadline=None)
+def test_min_length_of_an_integer_is_its_witness_length(base, n):
+    # The candidates' min length: the plain up carry against the witness.
+    assert elasticity._integer_min_length(base, n) == member_witness(base, F(n)).length()
 
 
 class TestElasticityScan:
