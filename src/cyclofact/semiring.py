@@ -52,12 +52,17 @@ den, x is a member iff c = r b^L / den:
   b^L times s, read bottom-up, forces each digit below level L modulo a
   whatever sits at level L, so those are the carry's digits and its c.
 
-Enumeration alone walks one integer digit ladder, the rational base
-numeration of Akiyama, Frougny & Sakarovitch (Israel J. Math. 168, 2008)
-read a-adically.  A factorization sum n_i q^i of x has i <= top, so
-t_0 = x * b^top must be an integer.  Level i carries the residual t_i and
-the weight w_i = b^(top-i), and t_(i+1) = (t_i - n_i w_i) / a; so
-n_i w_i <= t_i, n_i = t_i / w_i (mod a), and the top digit is t_top itself.
+Enumeration runs the up carry with every digit it admits.  If sum n_i q^i
+= x then i <= top, and R_i, the value left for copies of q^i, has R_0 = x
+and R_(i+1) = (R_i - n_i) b / a.  Level i keeps v = R_i den (v_0 = num) and
+admits every n = v den^-1 (mod a) with n <= v // den; the child is
+(v - n den) / a * b, and the top digit is v // den.  x is out unless den
+divides b^top, so den is prime to a; an integer has den = 1, and its
+smallest digit, v mod a, is the carry's.  This is the tree of the rational
+base ladder of Akiyama, Frougny & Sakarovitch (Israel J. Math. 168, 2008)
+read a-adically: its integer t_i = v b^(top-i) / den admits n with
+a | t_i - n b^(top-i) and n <= R_i, and as a is prime to b and den, the
+first is a | v - n den.  At the top v = t_top den, so v // den = R_top.
 
 For integer q (b = 1) the monoid is all of the nonnegative integers, a UFM:
 the single factorization of x is x copies of the atom 1, and membership,
@@ -80,7 +85,7 @@ from typing import Iterator, Optional
 from .polynomials import NatPoly
 
 DEFAULT_ORACLE_CAP = 10**6
-# No ladder or carry runs on integers past this many bits (max_atom_exponent).
+# No carry, enumeration's included, runs on integers past this many bits (max_atom_exponent).
 MAX_LADDER_BITS = 2**28
 # Carry passes of more levels than this are split in two.
 _SPLIT_LEVELS = 32
@@ -182,32 +187,6 @@ def _integer_witness(x: Fraction) -> Optional[NatPoly]:
     return NatPoly({0: n}) if n else NatPoly.zero()
 
 
-def _ladder(base: RationalBase, x: Fraction) -> Optional[tuple[int, int]]:
-    """(t_0, top) of the digit ladder that enumeration walks, or None if
-    x < 1 or t_0 is fractional."""
-    top = max_atom_exponent(base, x)
-    if top < 0:
-        return None
-    weight = base.b**top
-    if weight % x.denominator:
-        return None
-    return x.numerator * (weight // x.denominator), top
-
-
-def _rungs(a: int, b: int, levels: int) -> Iterator[tuple[int, int]]:
-    """(w, w^-1 mod a) for the weights w = b^(levels-1), ..., b, 1 of a ladder."""
-    weight, inverse = b ** (levels - 1), pow(b, 1 - levels, a)
-    for _ in range(levels):
-        yield weight, inverse
-        weight //= b
-        inverse = inverse * b % a
-
-
-def _steps(a: int, t: int, weight: int, inverse: int) -> Iterator[tuple[int, int]]:
-    """(digit, next residual) for every digit t admits below the top, smallest first."""
-    return ((n, (t - n * weight) // a) for n in range(t % a * inverse % a, t // weight + 1, a))
-
-
 def _carry(terms: dict[int, int], start: int, step: int, levels: int, carry: int, keep: int, send: int) -> int:
     """The carry out of the module docstring's pass over `levels` degrees
     start, start + step, ...; each degree's kept digit replaces its term."""
@@ -292,13 +271,14 @@ def iter_factorizations(
 ) -> Iterator[NatPoly]:
     """Stream the complete factorization set of x (exhaustive oracle).
 
-    The search tree's nodes are the prefixes n_0 ... n_i of digit strings
-    down the ladder, the empty root included.  A forward pass keeps each
-    level's distinct residuals with the number of paths to them and charges
-    that count per child edge, so the budget counts tree nodes, all before
-    the first yield: OracleBudgetExceeded once more than cap are needed.  A
-    backward pass builds each residual's digit suffixes once for all its
-    parents; the root's, smaller digits first, are the depth-first order.
+    The search tree's nodes are the prefixes n_0 ... n_i of the digit
+    strings of the module docstring's branching up carry, the empty root
+    included.  A forward pass keeps each level's distinct states v with the
+    number of paths to them and charges that count per child edge, so the
+    budget counts tree nodes, all before the first yield:
+    OracleBudgetExceeded once more than cap are needed.  A backward pass
+    builds each state's digit suffixes once for all its parents; the
+    root's, smaller digits first, are the depth-first order.
     For x outside the monoid the stream is empty; x = 0 yields the empty
     factorization.
     """
@@ -313,32 +293,35 @@ def iter_factorizations(
         if w is not None:
             yield w
         return
-    ladder = _ladder(base, x)
-    if ladder is None:
+    a, b = base.a, base.b
+    num, den = x.numerator, x.denominator
+    top = max_atom_exponent(base, x)
+    if top < 0 or pow(b, top, den):
         return
-    a, (t0, top) = base.a, ladder
+    inverse = pow(den, -1, a)
     budget = Budget(cap)
     budget.spend()
-    # levels[i]: each residual of level i -> its ((i, digit) or None for 0,
-    # child residual) edges; below: each next-level residual -> its path count.
-    levels, below = [], {t0: 1}
-    for level, (weight, inverse) in zip(range(top), _rungs(a, base.b, top + 1)):
+    # levels[i]: each state v of level i -> its ((i, digit) or None for 0,
+    # child state) edges; below: each next-level state -> its path count.
+    levels, below = [], {num: 1}
+    for level in range(top):
         edges, paths, below = {}, below, {}
-        for t, count in paths.items():
-            edges[t] = steps = []
-            for n, child in _steps(a, t, weight, inverse):
+        for v, count in paths.items():
+            edges[v] = steps = []
+            for n in range(v * inverse % a, v // den + 1, a):
+                child = (v - n * den) // a * b
                 budget.spend(count)
                 below[child] = below.get(child, 0) + count
                 steps.append(((level, n) if n else None, child))
         levels.append(edges)
     # Suffixes are linked (pair, rest) cells, rest None at the end.
-    suffixes = {t: [((top, t), None) if t else None] for t in below}
+    suffixes = {v: [((top, v // den), None) if v else None] for v in below}
     while levels:
         suffixes = {
-            t: [(pair, rest) if pair else rest for pair, child in steps for rest in suffixes[child]]
-            for t, steps in levels.pop().items()
+            v: [(pair, rest) if pair else rest for pair, child in steps for rest in suffixes[child]]
+            for v, steps in levels.pop().items()
         }
-    for rest in suffixes[t0]:
+    for rest in suffixes[num]:
         pairs = []
         while rest:
             pair, rest = rest

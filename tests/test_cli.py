@@ -489,6 +489,10 @@ ENUMERATE_DIGESTS = {
     ("7/5", "49"): "bdf4a0a2c674a0de941b13dcfe46e358fa9bea385044f1973628c9b02d523f95",
     ("8/5", "64"): "efe74d3059ae643934698cda4303c2bf198cdfefabee0ecd5cd072386d34aad9",
     ("3/2", "339/32"): "f921c2bc313f61f3918f88e0bb974cf2702efb443d8d01548a3588ee6f372f08",
+    # Denominators whose inverse mod a is not 1.
+    ("5/3", "250/9"): "0dbaa2c24da7b475d604bb6e75c7230c8f536e82a1ddb398e955759d67ed757d",
+    ("7/4", "457/16"): "3dad3007b64d9c58734ff614e5eecb47d0a6a72dc215c3eb2af1eee6c9a6f9dc",
+    ("11/10", "121/10"): "b6d405c2ae96841b68b435413a1d9f77faba85a1111cdf1f3096ce75eb98729d",
 }
 
 

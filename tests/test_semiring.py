@@ -13,9 +13,6 @@ from cyclofact.semiring import (
     OracleBudgetExceeded,
     RationalBase,
     _SPLIT_LEVELS,
-    _ladder,
-    _rungs,
-    _steps,
     down_normal_form,
     enumerate_factorizations,
     enumerate_length_set,
@@ -75,15 +72,43 @@ def apply_down_move(base, z, j):
     return NatPoly(terms)
 
 
+def _ladder(base, x):
+    """(t_0, top) of the weighted digit ladder that the enumeration
+    references walk, or None if x < 1 or t_0 = x b^top is fractional."""
+    top = max_atom_exponent(base, x)
+    if top < 0:
+        return None
+    weight = base.b**top
+    if weight % x.denominator:
+        return None
+    return x.numerator * (weight // x.denominator), top
+
+
+def _rungs(a, b, levels):
+    """(w, w^-1 mod a) for the weights w = b^(levels-1), ..., b, 1 of a ladder."""
+    weight, inverse = b ** (levels - 1), pow(b, 1 - levels, a)
+    for _ in range(levels):
+        yield weight, inverse
+        weight //= b
+        inverse = inverse * b % a
+
+
+def _steps(a, t, weight, inverse):
+    """(digit, next residual) for every digit t admits below the top, smallest first."""
+    return ((n, (t - n * weight) // a) for n in range(t % a * inverse % a, t // weight + 1, a))
+
+
 def enumerate_length_set_dp(base, x, cap=10**6):
     """Reference for the length set: the exhaustive digit dynamic program.
 
-    Independent of the normal forms: collects the distinct residuals of each
-    ladder level, then the digit sums reachable from each one, level by level
-    from the top, instead of materializing every factorization.  Each
-    residual's sums are one integer bitset, so a digit n shifts a child's set
-    by n and the sets of its digits merge by bitwise or.  A residual costs one
-    state, plus one per digit it admits below the top.
+    Independent of the normal forms and of iter_factorizations: walks this
+    module's weighted ladder (t_0 = x b^top, level i weighted b^(top-i)),
+    collects the distinct residuals of each level, then the digit sums
+    reachable from each one, level by level from the top, instead of
+    materializing every factorization.  Each residual's sums are one integer
+    bitset, so a digit n shifts a child's set by n and the sets of its digits
+    merge by bitwise or.  A residual costs one state, plus one per digit it
+    admits below the top.
     """
     x = F(x)
     if x <= 0 or base.is_integer:  # at most one factorization
@@ -118,10 +143,11 @@ def enumerate_length_set_dp(base, x, cap=10**6):
 
 
 def iter_factorizations_dfs(base, x, budget):
-    """Reference for iter_factorizations: depth-first down the digit ladder
-    with an explicit stack, smaller digits first, spending one state of the
-    Budget per search-tree node (digit-string prefix, root included) as it
-    visits it, so it can yield some factorizations before it runs out."""
+    """Reference for iter_factorizations: depth-first down this module's
+    weighted digit ladder with an explicit stack, smaller digits first,
+    spending one state of the Budget per search-tree node (digit-string
+    prefix, root included) as it visits it, so it can yield some
+    factorizations before it runs out."""
     x = F(x)
     if x < 0:
         raise ValueError("monoid elements are nonnegative")
@@ -504,6 +530,8 @@ class TestEnumeration:
             (B32, F(81), 632, 40072),
             (B32, F(339, 32), 25, 21),
             (RationalBase(5, 3), F(125), 443, 10626),
+            (RationalBase(5, 3), F(250, 9), 51, 91),
+            (RationalBase(11, 10), F(121, 10), 59, 78),
         ):
             for oracle, states in ((enumerate_length_set_dp, dp_states), (enumerate_factorizations, search_states)):
                 oracle(base, x, cap=states)
