@@ -1,51 +1,72 @@
 #!/usr/bin/env python3
 """Sample the set of elasticities of a cyclic rational semiring.
 
-Enumerates every monoid element up to a value bound, tabulates its exact
-elasticity, and reports how the observed values fill out [1, bound on rho].
-Useful for eyeballing the density of the elasticity set; writes the same
-CSV as `cyclofact elasticity-scan`.
+Runs `cyclofact elasticity-scan` in-process on every monoid element up to a
+value bound and reports how the observed elasticities fill out [1, bound on
+rho].  Useful for eyeballing the density of the elasticity set; --out
+writes the CLI's CSV unchanged, and a CLI error passes through (its JSON on
+stderr, its exit code).
 
 Example:
     python3 scripts/density_scan.py --q 3/2 --bound 30 --out scan.csv
 """
 
 import argparse
+import contextlib
+import csv
+import io
+import sys
 from collections import Counter
 from fractions import Fraction
 
-from cyclofact.cli import write_scan_csv
-from cyclofact.elasticity import elasticity_scan
-from cyclofact.rationals import format_rat, parse_rat
-from cyclofact.semiring import RationalBase
+from cyclofact.cli import main as cyclofact_main
 
 
-def main() -> None:
+def rational(text: str) -> Fraction:
+    """Read "num" or "num/den" (den > 0) as the CLI does."""
+    num, slash, den = text.partition("/")
+    if slash and int(den) <= 0:
+        raise ValueError(f"denominator must be positive in {text!r}")
+    return Fraction(int(num), int(den) if slash else 1)
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--q", type=parse_rat, default=Fraction(3, 2))
-    parser.add_argument("--bound", type=parse_rat, default=Fraction(30))
+    parser.add_argument("--q", type=rational, default=Fraction(3, 2))
+    parser.add_argument("--bound", type=rational, default=Fraction(30))
     parser.add_argument("--budget", type=int, default=10**6)
     parser.add_argument("--out", help="optional CSV path")
     args = parser.parse_args()
 
-    base = RationalBase.from_rational(args.q)
-    scan = elasticity_scan(base, args.bound, budget=args.budget)
-    print(f"q = {base}: {len(scan.rows)} elements up to {format_rat(args.bound)}"
-          f" ({'complete' if scan.complete else 'PARTIAL - budget hit'})")
+    argv = ["elasticity-scan", f"--q={args.q}", f"--bound={args.bound}", f"--oracle-cap={args.budget}"]
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        code = cyclofact_main(argv)
+    if code:
+        return code
+    text = captured.getvalue()
+    *table, manifest = text.splitlines()
+    rows = list(csv.DictReader(table))
+    complete = manifest.startswith("# manifest: complete")
+    print(f"q = {args.q}: {len(rows)} elements up to {args.bound}"
+          f" ({'complete' if complete else 'PARTIAL - budget hit'})")
 
-    by_value = Counter(row.elasticity for row in scan.rows)
+    by_value = Counter(Fraction(row["elasticity"]) for row in rows)
     distinct = sorted(by_value)
-    print(f"{len(distinct)} distinct elasticities; extremes "
-          f"{format_rat(distinct[0])} .. {format_rat(distinct[-1])}")
-    print("most common:")
-    for rho, count in by_value.most_common(8):
-        print(f"  rho = {format_rat(rho):>8}  x{count}")
+    if distinct:
+        print(f"{len(distinct)} distinct elasticities; extremes {distinct[0]} .. {distinct[-1]}")
+        print("most common:")
+        for rho, count in by_value.most_common(8):
+            print(f"  rho = {str(rho):>8}  x{count}")
+    else:
+        print("0 distinct elasticities")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            write_scan_csv(scan, handle)
+            handle.write(text)
         print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

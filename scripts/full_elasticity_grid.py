@@ -1,54 +1,71 @@
 #!/usr/bin/env python3
 """Realize every target elasticity s/t on a grid and summarize the certificates.
 
-For each base q and each coprime target s/t with s up to --smax, runs the
-certificate construction and prints the chosen base element, the shift
-count, and the final tracked lengths.  Everything is exact; a failure to
-hit the target ratio would raise.
+For each base q and each coprime target s/t with s up to --smax, runs
+`cyclofact construct-elasticity` in-process and prints the chosen base
+element, the shift count, and the final tracked lengths.  Everything is
+exact; a certificate that missed its target ratio would raise.  A target
+the CLI fails on gets one line with its exit code and error type, and the
+script exits 1 if any target failed.
 
 Example:
     python3 scripts/full_elasticity_grid.py --smax 9 --bases 3/2 5/3 5/2
 """
 
 import argparse
+import contextlib
+import io
+import json
 import math
+import sys
 import time
 from fractions import Fraction
 
-from cyclofact.elasticity import ElasticityTarget, construct_elasticity
-from cyclofact.rationals import parse_rat
-from cyclofact.semiring import RationalBase
+from cyclofact.cli import main as cyclofact_main
 
 
-def main() -> None:
+def rational(text: str) -> Fraction:
+    """Read "num" or "num/den" (den > 0) as the CLI does."""
+    num, slash, den = text.partition("/")
+    if slash and int(den) <= 0:
+        raise ValueError(f"denominator must be positive in {text!r}")
+    return Fraction(int(num), int(den) if slash else 1)
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smax", type=int, default=9)
-    parser.add_argument("--bases", type=parse_rat, nargs="+",
+    parser.add_argument("--bases", type=rational, nargs="+",
                         default=[Fraction(3, 2), Fraction(5, 3), Fraction(5, 2)])
     parser.add_argument("--scan-cap", type=int, default=200)
     args = parser.parse_args()
 
-    targets = [
-        ElasticityTarget(s, t)
-        for s in range(2, args.smax + 1)
-        for t in range(1, s)
-        if math.gcd(s, t) == 1
-    ]
+    targets = [(s, t) for s in range(2, args.smax + 1) for t in range(1, s) if math.gcd(s, t) == 1]
+    failed = 0
     start = time.monotonic()
     for q in args.bases:
-        base = RationalBase.from_rational(q)
-        print(f"\n== q = {base} ==")
-        for target in targets:
-            cert = construct_elasticity(base, target, scan_cap=args.scan_cap)
-            select = next(e for e in cert.construction_log if e["step"] == "select")
-            shift = next(e for e in cert.construction_log if e["step"] == "shift")
-            assert cert.achieved == target.ratio
-            print(f"  {target.s}/{target.t}: base element {select['element']} "
+        print(f"\n== q = {q} ==")
+        for s, t in targets:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cyclofact_main(["construct-elasticity", f"--q={q}", f"--target={s}/{t}",
+                                       f"--scan-cap={args.scan_cap}"])
+            if code:
+                failed += 1
+                print(f"  {s}/{t}: exit {code}, {json.loads(err.getvalue())['error']['type']}")
+                continue
+            cert = json.loads(out.getvalue())
+            select = next(e for e in cert["construction_log"] if e["step"] == "select")
+            shift = next(e for e in cert["construction_log"] if e["step"] == "shift")
+            assert Fraction(cert["achieved"]) == Fraction(s, t)
+            print(f"  {s}/{t}: base element {select['element']} "
                   f"({select['kind']}), {shift['count']} forced atoms, "
-                  f"lengths ({cert.min_len}, {cert.max_len})")
+                  f"lengths ({cert['min_length']}, {cert['max_length']})")
     total = len(targets) * len(args.bases)
-    print(f"\n{total} certificates, all exact, in {time.monotonic() - start:.2f}s")
+    failures = f", {failed} targets failed" if failed else ""
+    print(f"\n{total - failed} certificates, all exact{failures}, in {time.monotonic() - start:.2f}s")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

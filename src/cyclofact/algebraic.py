@@ -10,16 +10,27 @@ so refinement only runs on expressions with a nonzero value and terminates.
 The minimal polynomial is trusted to be irreducible (so it has no rational
 roots and bisection midpoints are never roots); a refinement cap turns a
 violated trust assumption into an error instead of a hang.
+
+On these signs rest the paper's two results for algebraic valuations.
+``elasticity_lower_bound_sequence`` takes the element with the minimal
+pair's two factorizations to its n-th power, whose elasticity is at least
+the ratio of their lengths to the n-th; ``elasticity_formula`` gives the
+finitely generated case's elasticity once an atom census, exact linear
+algebra in the power basis, shows the atoms are exactly 1..root^deg.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .polynomials import RatPoly
+from .minimal_pair import MinimalPair, minimal_pair
+from .polynomials import NatPoly, RatPoly
+from .semiring import Budget, OracleBudgetExceeded, RationalBase, length_stats
 
 _REFINEMENT_CAP = 4096
+NODE_BUDGET = 100_000
 
 
 class AlgebraicNumber:
@@ -126,3 +137,189 @@ def power_coordinates(minpoly: RatPoly, kmax: int) -> list[tuple[Fraction, ...]]
             vec = [v + top * f for v, f in zip(vec, fold)]
         out.append(tuple(vec))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Lower-bound sequence (the powers of the minimal-pair element)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LowerBoundStep:
+    """Power n of the two-factorizations element, with its elasticity bound."""
+
+    n: int
+    presentation: NatPoly
+    lower_bound: Fraction
+    element: Optional[Fraction]
+    exact_elasticity: Optional[Fraction]
+
+
+def elasticity_lower_bound_sequence(
+    pair: MinimalPair, alpha: Optional[Fraction], n: int
+) -> LowerBoundStep:
+    """The n-th power of the element with factorizations p and q0.
+
+    p(alpha) = q0(alpha) is one element with factorization lengths p(1) and
+    q0(1); its n-th power has elasticity at least (larger/smaller)**n.  When
+    alpha is a non-integer rational > 1 the exact elasticity is computed for
+    comparison; otherwise only the bound is returned.
+    """
+    if n < 1:
+        raise ValueError("power n must be positive")
+    lp, lq = pair.p.length(), pair.q0.length()
+    if lp == lq:
+        raise ValueError("1 is a root; minimal pair degenerate")
+    low, high = (pair.p, pair.q0) if lp < lq else (pair.q0, pair.p)
+    presentation = low**n
+    bound = Fraction(high.length(), low.length()) ** n
+    element = None
+    exact = None
+    if alpha is not None:
+        alpha = Fraction(alpha)
+        element = presentation.eval(alpha)
+        if alpha > 1 and alpha.denominator > 1:
+            base = RationalBase.from_rational(alpha)
+            exact = length_stats(base, element).elasticity
+        elif alpha.denominator == 1:
+            exact = Fraction(1)
+    return LowerBoundStep(n, presentation, bound, element, exact)
+
+
+# ---------------------------------------------------------------------------
+# Elasticity formula for the finitely generated case
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FormulaResult:
+    """Outcome of the atom census behind the finitely-generated formula.
+
+    status is "value" (hypothesis verified, value holds), "inapplicable"
+    (hypothesis refuted, reason says how) or "inconclusive" (budget ran out
+    before the census settled).
+    """
+
+    status: str
+    value: Optional[Fraction]
+    reason: str
+    atom_exponents: tuple[int, ...]
+    decomposed_exponents: tuple[int, ...]
+
+
+def _decomposes(
+    alpha: AlgebraicNumber,
+    coords: Sequence[tuple[Fraction, ...]],
+    k: int,
+    budget: Budget,
+) -> bool:
+    """Does root^k equal a nonnegative-integer combination of lower powers?
+
+    Searches coefficients for degrees k-1 down to n (depth-first, residual
+    kept as exact power-basis coordinates, pruned by sign), then demands the
+    remaining residual be a nonnegative integer vector, i.e. a combination
+    of 1..root^(n-1).  Each search node costs one unit of the budget.
+    """
+    n = len(coords[0])
+    uppers = list(range(k - 1, n - 1, -1))
+
+    def rec(idx: int, residual: tuple[Fraction, ...]) -> bool:
+        budget.spend()
+        if idx == len(uppers):
+            return all(c >= 0 and c.denominator == 1 for c in residual)
+        i = uppers[idx]
+        step = coords[i]
+        current = residual
+        while True:
+            if rec(idx + 1, current):
+                return True
+            current = tuple(r - s for r, s in zip(current, step))
+            if alpha.sign_of_coords(current) < 0:
+                return False
+
+    return rec(0, coords[k])
+
+
+def elasticity_formula(
+    minpoly: RatPoly,
+    root_interval: tuple[Fraction, Fraction],
+    atom_budget: int,
+) -> FormulaResult:
+    """Monoid elasticity from the minimal pair, gated by an atom census.
+
+    The formula max{p(1)/q0(1), q0(1)/p(1)} requires the atom set to be
+    exactly {1, root, ..., root^deg}.  The census decides, for each power up
+    to atom_budget, whether it decomposes into lower powers (exact linear
+    algebra in the power basis).  Decomposability of root^(deg+1) propagates
+    to all higher powers, so a census that finds atoms exactly at 0..deg is
+    conclusive.  Outcomes other than a verified hypothesis are reported as
+    inapplicable (with the refuting evidence) or inconclusive (the search
+    visits more than ``NODE_BUDGET`` nodes).
+    """
+    alpha = AlgebraicNumber(minpoly, *root_interval)
+    n = minpoly.degree()
+    if atom_budget < n + 1:
+        return FormulaResult(
+            "inconclusive",
+            None,
+            f"atom budget {atom_budget} cannot reach power deg+1 = {n + 1}",
+            tuple(range(n)),
+            (),
+        )
+    if alpha.compare(Fraction(1)) < 0:
+        return FormulaResult(
+            "inapplicable",
+            None,
+            "root below 1: zero is a limit point, the monoid is not finitely "
+            "generated and has infinite elasticity",
+            (),
+            (),
+        )
+    coords = power_coordinates(minpoly, atom_budget)
+    budget = Budget(NODE_BUDGET)
+    atoms = list(range(n))
+    decomposed: list[int] = []
+    for k in range(n, atom_budget + 1):
+        try:
+            verdict = _decomposes(alpha, coords, k, budget)
+        except OracleBudgetExceeded:
+            return FormulaResult(
+                "inconclusive",
+                None,
+                f"decomposition search budget exhausted at power {k}",
+                tuple(atoms),
+                tuple(decomposed),
+            )
+        (decomposed if verdict else atoms).append(k)
+
+    if n in decomposed:
+        # root^deg already decomposes, hence so does every higher power:
+        # the atoms are 1..root^(deg-1) and the monoid is free on them.
+        return FormulaResult(
+            "inapplicable",
+            None,
+            f"atom count {n} equals the degree: the monoid is free on "
+            f"{n} generators (unique factorization, elasticity 1)",
+            tuple(atoms),
+            tuple(decomposed),
+        )
+    if atoms == list(range(n + 1)) and (n + 1) in decomposed:
+        pair = minimal_pair(minpoly)
+        lp, lq = pair.p.length(), pair.q0.length()
+        value = max(Fraction(lp, lq), Fraction(lq, lp))
+        return FormulaResult(
+            "value",
+            value,
+            f"atoms are exactly the powers 0..{n}; decomposability of power "
+            f"{n + 1} propagates upward",
+            tuple(atoms),
+            tuple(decomposed),
+        )
+    return FormulaResult(
+        "inapplicable",
+        None,
+        f"atoms persist beyond the degree (exponents {atoms}): evidence that "
+        "the monoid is not finitely generated, hence of infinite elasticity",
+        tuple(atoms),
+        tuple(decomposed),
+    )

@@ -197,12 +197,12 @@ def write_scan_csv(scan, stream: TextIO) -> None:
     """Write an elasticity scan as CSV rows followed by its manifest row."""
     scale = scan.scale
     lines = ["value_num,value_den,min_len,max_len,elasticity\n"]
-    for value, low, high in scan.forms:
+    for value, low, high in scan.rows:
         g, h = math.gcd(value, scale), math.gcd(high, low)
         ratio = str(high // h) if h == low else f"{high // h}/{low // h}"
         lines.append(f"{value // g},{scale // g},{low},{high},{ratio}\n")
     status = "complete" if scan.complete else "partial"
-    lines.append(f"# manifest: {status} rows={len(scan.forms)}\n")
+    lines.append(f"# manifest: {status} rows={len(scan.rows)}\n")
     stream.write("".join(lines))
 
 

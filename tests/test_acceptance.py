@@ -11,12 +11,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from cyclofact.elasticity import (
-    ElasticityTarget,
-    construct_elasticity,
-    elasticity_lower_bound_sequence,
-    forced_atom_shift,
-)
+from cyclofact.algebraic import elasticity_lower_bound_sequence
+from cyclofact.elasticity import ElasticityTarget, construct_elasticity, forced_atom_shift
 from cyclofact.minimal_pair import minimal_pair, minimal_pair_of_rational
 from cyclofact.omega import (
     IntervalMonoid,

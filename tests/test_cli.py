@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import resource
 import runpy
@@ -355,21 +356,41 @@ def test_deterministic_output(capsys):
     assert again == again2
 
 
+def run_script(capsys, monkeypatch, name, *argv):
+    """Run scripts/<name> in-process: (exit code, stdout, stderr)."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / name
+    monkeypatch.setattr(sys, "argv", [str(script), *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
 def test_density_script_writes_the_cli_csv(capsys, tmp_path, monkeypatch):
     cli_csv, script_csv = tmp_path / "cli.csv", tmp_path / "script.csv"
     assert main(["elasticity-scan", "--q", "3/2", "--bound", "6", "--out", str(cli_csv)]) == EXIT_OK
-    script = Path(__file__).resolve().parents[1] / "scripts" / "density_scan.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--q", "3/2", "--bound", "6", "--out", str(script_csv)])
-    runpy.run_path(str(script), run_name="__main__")
-    capsys.readouterr()
+    code, _, _ = run_script(capsys, monkeypatch, "density_scan.py", "--q", "3/2", "--bound", "6", "--out", str(script_csv))
+    assert code == EXIT_OK
     assert script_csv.read_bytes() == cli_csv.read_bytes()
+    # Empty scans, complete (nothing below 1) or cut by the budget, print
+    # their header and no extremes.
+    for argv, header in (
+        (["--q", "3/2", "--bound", "1/2"], "q = 3/2: 0 elements up to 1/2 (complete)"),
+        (["--q", "3/2", "--budget", "1"], "q = 3/2: 0 elements up to 30 (PARTIAL - budget hit)"),
+    ):
+        code, out, _ = run_script(capsys, monkeypatch, "density_scan.py", *argv)
+        assert (code, out) == (EXIT_OK, f"{header}\n0 distinct elasticities\n")
+    # A CLI error passes through: its JSON on stderr and its exit code.
+    code, out, err = run_script(capsys, monkeypatch, "density_scan.py", "--q", "1")
+    cli_code, _, cli_err = run_cli(capsys, "elasticity-scan", "--q", "1", "--bound", "30", "--oracle-cap", "1000000")
+    assert (code, out, err) == (cli_code, "", cli_err)
+    assert code == EXIT_DOMAIN_ERROR
 
 
 def test_grid_script_matches_the_cli_certificates(capsys, monkeypatch):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "full_elasticity_grid.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--smax", "5", "--bases", "3/2"])
-    runpy.run_path(str(script), run_name="__main__")
-    lines = capsys.readouterr().out.strip().splitlines()
+    code, out, _ = run_script(capsys, monkeypatch, "full_elasticity_grid.py", "--smax", "5", "--bases", "3/2")
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
     assert lines[0] == "== q = 3/2 =="
     assert lines[-1].startswith("9 certificates, all exact")
     rows = lines[1:-2]
@@ -378,6 +399,28 @@ def test_grid_script_matches_the_cli_certificates(capsys, monkeypatch):
         target = row.split(":")[0].strip()
         doc = run_json(capsys, "construct-elasticity", "--q", "3/2", "--target", target, "--scan-cap", "200")
         assert row.endswith(f"lengths ({doc['min_length']}, {doc['max_length']})")
+    # A larger grid, where some targets exceed the scan cap: each line,
+    # certificate or failure, matches the CLI's answer for that target, and
+    # the script exits 1 exactly when a target failed.
+    code, out, _ = run_script(capsys, monkeypatch, "full_elasticity_grid.py", "--smax", "30", "--bases", "5/2")
+    lines = out.strip().splitlines()
+    assert lines[0] == "== q = 5/2 =="
+    rows = lines[1:-2]
+    failed = 0
+    for row in rows:
+        target = row.split(":")[0].strip()
+        cli_code, cli_out, cli_err = run_cli(
+            capsys, "construct-elasticity", "--q", "5/2", "--target", target, "--scan-cap", "200"
+        )
+        if cli_code == EXIT_OK:
+            doc = json.loads(cli_out)
+            assert row.endswith(f"lengths ({doc['min_length']}, {doc['max_length']})")
+        else:
+            failed += 1
+            assert row == f"  {target}: exit {cli_code}, {json.loads(cli_err)['error']['type']}"
+    assert len(rows) == sum(math.gcd(s, t) == 1 for s in range(2, 31) for t in range(1, s))
+    assert code == (1 if failed else EXIT_OK)
+    assert lines[-1].startswith(f"{len(rows) - failed} certificates, all exact")
 
 
 def test_omega_interval_document(capsys):
@@ -563,19 +606,24 @@ def test_every_traced_layer_resolves():
 def test_package_import_is_empty_and_cli_loads_every_traced_module():
     # The package re-exports nothing, so importing it loads no submodule;
     # bench/tracer.py finds each traced module in sys.modules after
-    # importing cyclofact.cli alone.
+    # importing cyclofact.cli alone.  The algebraic-valuation half stays off
+    # that path: elasticity loads neither algebraic nor minimal_pair.
     tracer = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import cyclofact; "
         "bare = sorted(m for m in sys.modules if m.startswith('cyclofact.')); "
-        "import cyclofact.cli; print(json.dumps([bare, sorted(sys.modules)]))"
+        "import cyclofact.elasticity; "
+        "alone = sorted(m for m in sys.modules if m.startswith('cyclofact.')); "
+        "import cyclofact.cli; print(json.dumps([bare, alone, sorted(sys.modules)]))"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    bare, loaded = json.loads(proc.stdout)
+    bare, alone, loaded = json.loads(proc.stdout)
     assert bare == []
     assert {f"{tracer['PACKAGE']}.{m}" for m, _ in tracer["LAYERS"]} <= set(loaded)
+    assert "cyclofact.algebraic" not in loaded
+    assert not {"cyclofact.algebraic", "cyclofact.minimal_pair"} & set(alone)
 
 
 def test_module_entry_point_runs():

@@ -3,19 +3,20 @@ import hashlib
 import io
 import math
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import cyclofact.algebraic as algebraic
 import cyclofact.elasticity as elasticity
+from cyclofact.algebraic import elasticity_formula, elasticity_lower_bound_sequence
 from cyclofact.cli import main, write_scan_csv
 from cyclofact.elasticity import (
     ElasticityTarget,
     ScanCapExceeded,
     construct_elasticity,
-    elasticity_formula,
-    elasticity_lower_bound_sequence,
     elasticity_scan,
     forced_atom_shift,
     monoid_elements_up_to,
@@ -114,7 +115,7 @@ class TestElasticityFormula:
     def test_budget_too_small_is_inconclusive(self, monkeypatch):
         res = elasticity_formula(parse_polynomial("X^3 - 2"), (F(1), F(2)), 2)
         assert res.status == "inconclusive"
-        monkeypatch.setattr(elasticity, "NODE_BUDGET", 3)
+        monkeypatch.setattr(algebraic, "NODE_BUDGET", 3)
         res = elasticity_formula(parse_polynomial("X^2 - 3X + 1"), (F(5, 2), F(3)), 5)
         assert res.status == "inconclusive"
 
@@ -352,10 +353,22 @@ def test_min_length_of_an_integer_is_its_witness_length(base, n):
     assert elasticity._integer_min_length(base, n) == member_witness(base, F(n)).length()
 
 
+class Row(NamedTuple):
+    value: F
+    min_len: int
+    max_len: int
+    elasticity: F
+
+
+def fraction_rows(scan):
+    """The scan's integer rows (value * scale, min, max) as Fraction rows."""
+    return tuple(Row(F(v, scan.scale), lo, hi, F(hi, lo)) for v, lo, hi in scan.rows)
+
+
 class TestElasticityScan:
     def test_bound_four_table(self):
         scan = elasticity_scan(B32, F(4))
-        table = {row.value: row.elasticity for row in scan.rows}
+        table = {row.value: row.elasticity for row in fraction_rows(scan)}
         assert scan.complete
         for v in (F(1), F(3, 2), F(2), F(9, 4), F(5, 2)):
             assert table[v] == F(1)
@@ -363,18 +376,18 @@ class TestElasticityScan:
 
     def test_bound_one(self):
         scan = elasticity_scan(B32, F(1))
-        assert [(r.value, r.elasticity) for r in scan.rows] == [(F(1), F(1))]
+        assert [(r.value, r.elasticity) for r in fraction_rows(scan)] == [(F(1), F(1))]
 
     def test_bound_nine_includes_nine(self):
         scan = elasticity_scan(B32, F(9))
-        table = {row.value: row.elasticity for row in scan.rows}
+        table = {row.value: row.elasticity for row in fraction_rows(scan)}
         assert table[F(9)] == F(3)
 
     def test_rows_sorted_and_rational(self):
         scan = elasticity_scan(B32, F(6))
-        values = [r.value for r in scan.rows]
+        values = [r.value for r in fraction_rows(scan)]
         assert values == sorted(values)
-        assert all(r.elasticity >= 1 for r in scan.rows)
+        assert all(r.elasticity >= 1 for r in fraction_rows(scan))
 
     def test_budget_marks_partial(self):
         _, complete = monoid_elements_up_to(B32, F(20), budget=5)
@@ -390,9 +403,9 @@ class TestElasticityScan:
             w = member_witness(B32, row.value)
             return tuple(w.coeff(i) for i in range(top, -1, -1))
 
-        first = sorted(full.rows, key=digit_string)[:4]
-        assert scan.rows == tuple(sorted(first, key=lambda r: r.value))
-        assert [r.value for r in scan.rows] == [F(1), F(3, 2), F(2), F(5, 2)]
+        first = sorted(fraction_rows(full), key=digit_string)[:4]
+        assert fraction_rows(scan) == tuple(sorted(first, key=lambda r: r.value))
+        assert [r.value for r in fraction_rows(scan)] == [F(1), F(3, 2), F(2), F(5, 2)]
 
     def test_elements_match_brute_force_closure(self):
         for base in BASES:
@@ -414,15 +427,15 @@ class TestElasticityScan:
                 assert not partial.complete and len(partial.rows) == budget - 1
                 scans.append(partial)
             for scan in scans:
-                for row in scan.rows:
+                for row in fraction_rows(scan):
                     st = length_stats(base, row.value)
                     assert (row.min_len, row.max_len, row.elasticity) == (st.min_len, st.max_len, st.elasticity)
 
 
 def scan_csv_reference(scan):
-    """The scan CSV written from scan.rows, one format_rat per Fraction."""
+    """The scan CSV written from the Fraction rows, one format_rat per Fraction."""
     lines = ["value_num,value_den,min_len,max_len,elasticity\n"]
-    for row in scan.rows:
+    for row in fraction_rows(scan):
         lines.append(
             f"{row.value.numerator},{row.value.denominator},"
             f"{row.min_len},{row.max_len},{format_rat(row.elasticity)}\n"
