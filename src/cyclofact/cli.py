@@ -38,7 +38,7 @@ from .semiring import (
     OracleBudgetExceeded,
     RationalBase,
     down_normal_form,
-    enumerate_factorizations,
+    iter_factorizations,
     length_stats,
     member_witness,
 )
@@ -151,8 +151,7 @@ def _cmd_factorize(args) -> dict:
         "max_factorization": down_normal_form(base, witness).to_pairs(),
     }
     if args.enumerate:
-        all_z = enumerate_factorizations(base, args.value, args.oracle_cap)
-        doc["factorizations"] = sorted(z.to_pairs() for z in all_z)
+        doc["factorizations"] = [z.to_pairs() for z in iter_factorizations(base, args.value, args.oracle_cap)]
     return doc
 
 

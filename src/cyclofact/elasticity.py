@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .polynomials import NatPoly
-from .semiring import DEFAULT_ORACLE_CAP, RationalBase, max_atom_exponent
+from .semiring import DEFAULT_ORACLE_CAP, OracleBudgetExceeded, RationalBase, _ladder_estimate, max_atom_exponent
 
 DEFAULT_SCAN_CAP = 200
 MATERIALIZE_CAP = 2_000
@@ -257,6 +257,11 @@ def construct_elasticity(
     # Phase A: single powers a^k.  t*L - s*ell > 0 holds for k >= N; stop
     # once the implied shift count outgrows the materialization cap.
     for k in range(n_exp, n_exp + scan_cap):
+        # The carry of a^k runs about log_q a^k levels: max_atom_exponent's
+        # size check, made before the power.  It covers phase B's a^N + m.
+        _, needs = _ladder_estimate(base, base.a, 1, k)
+        if needs:
+            raise OracleBudgetExceeded(f"q^e <= a^{k} at q={base}, a candidate for target {s}/{t}, needs {needs}")
         n = base.a**k
         ell = _integer_min_length(base, n)
         score = t * n - s * ell

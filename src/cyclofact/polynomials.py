@@ -14,8 +14,8 @@ Equal coefficient maps compare equal across the two classes.
 
 Zero coefficients are never stored, so the zero polynomial is the empty map;
 it is a distinct queryable state (``is_zero``) and asking for its order or
-degree is a hard error.  Sparse maps are the right shape here: presentations
-have few terms but the exponents can grow large.
+degree is a hard error.  Sparse maps suit presentations: few terms, large
+exponents.  The constructor sorts the terms by degree once; no reader sorts.
 
 All instances are immutable values and safe to share across threads.
 """
@@ -33,15 +33,14 @@ class ZeroPolynomialError(ValueError):
 
 
 def _clean(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> dict[int, int]:
-    items = terms.items() if hasattr(terms, "items") else terms
+    items = sorted(terms.items() if hasattr(terms, "items") else terms)
+    if items and items[0][0] < 0:
+        raise ValueError(f"negative degree {items[0][0]}")
     out: dict[int, int] = {}
     for deg, coeff in items:
-        if deg < 0:
-            raise ValueError(f"negative degree {deg}")
+        coeff += out.pop(deg, 0)  # a repeated degree is the last key so far
         if coeff:
-            out[deg] = out.get(deg, 0) + coeff
-            if not out[deg]:
-                del out[deg]
+            out[deg] = coeff
     return out
 
 
@@ -80,12 +79,12 @@ class _SparsePoly:
         """min(support) = largest d with X^d dividing the polynomial."""
         if not self._terms:
             raise ZeroPolynomialError("undefined order of the zero polynomial")
-        return min(self._terms)
+        return next(iter(self._terms))
 
     def degree(self) -> int:
         if not self._terms:
             raise ZeroPolynomialError("undefined degree of the zero polynomial")
-        return max(self._terms)
+        return next(reversed(self._terms))
 
     def eval(self, x: Fraction) -> Fraction:
         """Exact value sum(c_i * x^i) as a reduced rational.
@@ -99,7 +98,7 @@ class _SparsePoly:
         """
         x = Fraction(x)
         n, d = x.numerator, x.denominator
-        runs = [(coeff, deg, deg) for deg, coeff in sorted(self._terms.items())]
+        runs = [(coeff, deg, deg) for deg, coeff in self._terms.items()]
         if not runs:
             return Fraction(0)
         while len(runs) > 1:
@@ -114,11 +113,11 @@ class _SparsePoly:
         return Fraction(n**lo * s, d**hi)
 
     def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._terms.items()))
+        return iter(self._terms.items())
 
     def to_pairs(self) -> list[list[int]]:
-        """JSON form: [degree, coefficient] pairs sorted by degree."""
-        return [[d, c] for d, c in sorted(self._terms.items())]
+        """JSON form: [degree, coefficient] pairs by ascending degree, as stored."""
+        return [[d, c] for d, c in self._terms.items()]
 
     def __add__(self, other):
         return type(self)([*self._terms.items(), *other._terms.items()])
@@ -150,7 +149,7 @@ class _SparsePoly:
         if not self._terms:
             return f"{type(self).__name__}(0)"
         parts = []
-        for deg, coeff in sorted(self._terms.items()):
+        for deg, coeff in self._terms.items():
             if deg == 0:
                 parts.append(f"{coeff}")
             elif deg == 1:

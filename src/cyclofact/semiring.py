@@ -63,6 +63,10 @@ base ladder of Akiyama, Frougny & Sakarovitch (Israel J. Math. 168, 2008)
 read a-adically: its integer t_i = v b^(top-i) / den admits n with
 a | t_i - n b^(top-i) and n <= R_i, and as a is prime to b and den, the
 first is a | v - n den.  At the top v = t_top den, so v // den = R_top.
+Listing each level's nonzero digits ascending, then 0, yields the strings in
+print order, pair lists ascending: strings first differing at level i share
+its state v; a nonzero digit n there gives the pair (i, n), and v admits n,
+so v > 0, and past the digit 0 the next pair has a higher degree.
 
 For integer q (b = 1) the monoid is all of the nonnegative integers, a UFM:
 the single factorization of x is x copies of the atom 1, and membership,
@@ -78,6 +82,7 @@ level tables per call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -143,6 +148,31 @@ def _log_ratio(n: int, d: int) -> float:
     return math.log1p((n - d) / d) if n < 2 * d else math.log(n) - math.log(d)
 
 
+def _ladder_estimate(base: RationalBase, num: int, den: int, k: int = 1) -> tuple[int, Optional[str]]:
+    """e = int(log_q (num/den)^k) for num >= den > 0, and what a^e and
+    num^k b^e need when that is past MAX_LADDER_BITS (else None).
+
+    Where the float quotient of the logs fails, log q is below float
+    precision and equals (a-b)/b to it; so does log(num/den) = (num-den)/den
+    below 2^-53, and e then comes from those exact integers.  Past the
+    largest float, e alone is past the limit, and e log2 a is no float.
+    """
+    a, b = base.a, base.b
+    high, low = k * _log_ratio(num, den), _log_ratio(a, b)
+    if low and high / low < math.inf:
+        e = int(high / low)
+    elif (num - den) << 53 < den:
+        e = k * (num - den) * b // (den * (a - b))
+    else:
+        e = int(Fraction(high) * b / (a - b))
+    if e > sys.float_info.max:
+        return e, f"an e of {_digit_count(e)} digits, past the limit of {MAX_LADDER_BITS}"
+    bits = max(e * math.log2(a), k * num.bit_length() + e * math.log2(b))
+    if bits <= MAX_LADDER_BITS:
+        return e, None
+    return e, f"e near {e}: about {bits:.3g} bits, past the limit of {MAX_LADDER_BITS}"
+
+
 def _digit_count(n: int) -> int:
     """Decimal digits of n >= 1, without the quadratic int-to-str conversion."""
     digits = int((n.bit_length() - 1) * math.log10(2))  # at most the true count
@@ -154,7 +184,7 @@ def _digit_count(n: int) -> int:
 def max_atom_exponent(base: RationalBase, x: Fraction) -> int:
     """Largest e with q^e <= x, or -1 when x < 1 (no atom fits).
 
-    A float estimate of log_q x, corrected on integers to the e with
+    The estimate of _ladder_estimate, corrected on integers to the e with
     a^e den <= num b^e and a^(e+1) den > num b^(e+1), where x = num/den.
     Raises OracleBudgetExceeded, before any power is taken, when the
     estimate puts a^e or num b^e past MAX_LADDER_BITS.
@@ -164,13 +194,11 @@ def max_atom_exponent(base: RationalBase, x: Fraction) -> int:
     if num < den:
         return -1
     a, b = base.a, base.b
-    e = int(_log_ratio(num, den) / _log_ratio(a, b))
-    bits = max(e * math.log2(a), num.bit_length() + e * math.log2(b))
-    if bits > MAX_LADDER_BITS:
+    e, needs = _ladder_estimate(base, num, den)
+    if needs:
         raise OracleBudgetExceeded(
             f"q^e <= x at q={base}, where x has {_digit_count(num)} numerator and"
-            f" {_digit_count(den)} denominator digits, needs e near {e}:"
-            f" about {bits:.3g} bits, past the limit of {MAX_LADDER_BITS}"
+            f" {_digit_count(den)} denominator digits, needs {needs}"
         )
     up, down = a**e, b**e
     while up * den > num * down:
@@ -246,7 +274,7 @@ def down_normal_form(base: RationalBase, z: NatPoly) -> NatPoly:
     the unique such form and the maximum-length factorization (module
     docstring); a carry pass from the top degree down to degree 1."""
     terms = z.terms
-    top = max(terms, default=0)
+    top = z.degree() if z else 0
     carry = _carry(terms, top, -1, top, 0, base.b, base.a)
     terms[0] = terms.get(0, 0) + carry
     return NatPoly(terms)
@@ -278,7 +306,7 @@ def iter_factorizations(
     budget counts tree nodes, all before the first yield:
     OracleBudgetExceeded once more than cap are needed.  A backward pass
     builds each state's digit suffixes once for all its parents; the
-    root's, smaller digits first, are the depth-first order.
+    root's come in the module docstring's print order.
     For x outside the monoid the stream is empty; x = 0 yields the empty
     factorization.
     """
@@ -308,11 +336,14 @@ def iter_factorizations(
         edges, paths, below = {}, below, {}
         for v, count in paths.items():
             edges[v] = steps = []
-            for n in range(v * inverse % a, v // den + 1, a):
+            first = v * inverse % a
+            for n in range(first, v // den + 1, a):
                 child = (v - n * den) // a * b
                 budget.spend(count)
                 below[child] = below.get(child, 0) + count
                 steps.append(((level, n) if n else None, child))
+            if not first:  # the zero digit goes last: print order
+                steps.append(steps.pop(0))
         levels.append(edges)
     # Suffixes are linked (pair, rest) cells, rest None at the end.
     suffixes = {v: [((top, v // den), None) if v else None] for v in below}
@@ -327,13 +358,6 @@ def iter_factorizations(
             pair, rest = rest
             pairs.append(pair)
         yield NatPoly(pairs)
-
-
-def enumerate_factorizations(
-    base: RationalBase, x: Fraction, cap: int = DEFAULT_ORACLE_CAP
-) -> list[NatPoly]:
-    """The complete factorization set of x as a list (exhaustive oracle)."""
-    return list(iter_factorizations(base, x, cap))
 
 
 @dataclass(frozen=True)

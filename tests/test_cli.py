@@ -302,6 +302,48 @@ def test_huge_elasticity_targets_stop_phase_b_at_once():
         assert elapsed < 2.0, elapsed
 
 
+def test_construct_elasticity_near_one_exits_2_before_the_carry():
+    # The first candidate a^N carries for about 6.4*10^8 levels at 10001/10000
+    # and 3.7*10^9 at 100000001/100000000: the size check must refuse it
+    # before its power or its carry.
+    for q, target in (("10001/10000", "2"), ("100000001/100000000", "100000001/100000000")):
+        proc, elapsed = run_limited(("construct-elasticity", "--q", q, "--target", target), 2**31)
+        assert (proc.returncode, proc.stdout) == (EXIT_BUDGET, ""), proc.stderr[:300]
+        assert json.loads(proc.stderr)["error"]["type"] == "OracleBudgetExceeded"
+        assert elapsed < 2.0, elapsed
+
+
+UNDERFLOW_A, UNDERFLOW_B = 10**400 + 1, 10**400  # (a-b)/b underflows a float
+UNDERFLOW_Q = f"{UNDERFLOW_A}/{UNDERFLOW_B}"
+
+
+@pytest.mark.parametrize(
+    "argv, witness",
+    [
+        (("member", "--q", UNDERFLOW_Q, "--value", "2"), None),
+        (("factorize", "--q", UNDERFLOW_Q, "--value", "2"), None),
+        (("lengths", "--q", UNDERFLOW_Q, "--value", "2"), None),
+        (("construct-elasticity", "--q", UNDERFLOW_Q, "--target", "2"), None),
+        (("elasticity-scan", "--q", UNDERFLOW_Q, "--bound", "2"), None),
+        (("antiprime", "--q", f"{UNDERFLOW_B}/{UNDERFLOW_A}", "--k", "0", "--K", "2"), None),
+        # (a-b)/b is subnormal here, and log 2 over it overflows a float.
+        (("member", "--q", f"{10**320 + 1}/{10**320}", "--value", "2"), None),
+        (("member", "--q", UNDERFLOW_Q, "--value", UNDERFLOW_Q), [[1, 1]]),
+        (("member", "--q", UNDERFLOW_Q, "--value", f"{UNDERFLOW_A**2}/{UNDERFLOW_B**2}"), [[2, 1]]),
+    ],
+)
+def test_q_within_float_underflow_of_one(argv, witness, capsys):
+    # log q is 0.0 as a float (or log x / log q is past any float): each input
+    # answers or exits 2, with no traceback.
+    code, out, err = run_cli(capsys, *argv)
+    if witness is None:
+        assert (code, out) == (EXIT_BUDGET, ""), err[:300]
+        assert json.loads(err)["error"]["type"] == "OracleBudgetExceeded"
+    else:
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["witness"] == witness
+
+
 def test_construct_elasticity_scan_cap_errors(capsys):
     # The benchmark's four known construct-elasticity failures.
     for q, target in (("5/3", "19/2"), ("7/4", "17/1"), ("7/4", "18/1"), ("7/4", "19/1")):

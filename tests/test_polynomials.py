@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -127,6 +128,23 @@ def test_rat_serialization_round_trip():
         assert format_rat(parse_rat(s)) == s
     with pytest.raises(ValueError):
         parse_rat("3/-2")
+
+
+def test_terms_are_stored_and_read_by_degree():
+    degrees = [0, 1, 3, 4, 7, 12, 20]
+    shuffled = random.Random(5).sample(degrees, len(degrees))
+    mapping = {d: d + 1 for d in shuffled}
+    pairs = [(d, c) for d in reversed(degrees) for c in (1, d)]  # each degree twice
+    for cls in (NatPoly, RatPoly):
+        for p in (cls(mapping), cls(pairs)):
+            assert p == cls(mapping)
+            assert list(p.terms) == degrees
+            assert [d for d, _ in p.items()] == degrees
+            assert [d for d, _ in p.to_pairs()] == degrees
+            assert (p.order(), p.degree()) == (0, 20)
+        assert repr(cls({3: 2, 0: 1, 1: 1})) == f"{cls.__name__}(1 + X + 2*X^3)"
+    cancelled = RatPoly([(9, 1), (2, -1), (9, -1), (2, 1), (5, F(1, 2)), (2, 3)])
+    assert list(cancelled.terms) == [2, 5] and cancelled.degree() == 5
 
 
 def test_poly_pair_serialization():

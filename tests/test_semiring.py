@@ -14,7 +14,6 @@ from cyclofact.semiring import (
     RationalBase,
     _SPLIT_LEVELS,
     down_normal_form,
-    enumerate_factorizations,
     enumerate_length_set,
     iter_factorizations,
     length_stats,
@@ -142,12 +141,24 @@ def enumerate_length_set_dp(base, x, cap=10**6):
     return {l for l, bit in enumerate(reversed(bin(lengths[t0]))) if bit == "1"}
 
 
+def _zero_last(steps):
+    """The steps in print order: the digit 0, first when it is admitted, moved last."""
+    zero = []
+    for step in steps:
+        if step[0]:
+            yield step
+        else:
+            zero.append(step)
+    yield from zero
+
+
 def iter_factorizations_dfs(base, x, budget):
     """Reference for iter_factorizations: depth-first down this module's
-    weighted digit ladder with an explicit stack, smaller digits first,
-    spending one state of the Budget per search-tree node (digit-string
-    prefix, root included) as it visits it, so it can yield some
-    factorizations before it runs out."""
+    weighted digit ladder with an explicit stack, nonzero digits ascending
+    and then 0 at each level (print order: the pair lists ascend), spending
+    one state of the Budget per search-tree node (digit-string prefix, root
+    included) as it visits it, so it can yield some factorizations before
+    it runs out."""
     x = F(x)
     if x < 0:
         raise ValueError("monoid elements are nonnegative")
@@ -177,7 +188,7 @@ def iter_factorizations_dfs(base, x, budget):
             if level == top:
                 yield NatPoly([*enumerate(path), (top, t)])
             else:
-                stack.append(_steps(a, t, *rungs[level]))
+                stack.append(_zero_last(_steps(a, t, *rungs[level])))
                 break
         else:
             stack.pop()
@@ -502,25 +513,25 @@ class TestNormalForms:
 
 class TestEnumeration:
     def test_examples(self):
-        assert set(enumerate_factorizations(B32, F(3))) == {NatPoly({0: 3}), NatPoly({1: 2})}
-        assert enumerate_factorizations(B32, F(1)) == [NatPoly({0: 1})]
-        zs = set(enumerate_factorizations(B32, F(9)))
+        assert set(iter_factorizations(B32, F(3))) == {NatPoly({0: 3}), NatPoly({1: 2})}
+        assert list(iter_factorizations(B32, F(1))) == [NatPoly({0: 1})]
+        zs = set(iter_factorizations(B32, F(9)))
         assert NatPoly({0: 9}) in zs and NatPoly({2: 1, 3: 2}) in zs
         assert len(zs) == 8
 
     def test_zero_and_nonmembers(self):
-        assert enumerate_factorizations(B32, F(0)) == [NatPoly.zero()]
-        assert enumerate_factorizations(B32, F(1, 2)) == []
-        assert enumerate_factorizations(B32, F(7, 8)) == []
+        assert list(iter_factorizations(B32, F(0))) == [NatPoly.zero()]
+        assert list(iter_factorizations(B32, F(1, 2))) == []
+        assert list(iter_factorizations(B32, F(7, 8))) == []
 
     def test_every_enumerated_evaluates_to_x(self):
         for x in (F(3), F(9), F(13, 4), F(39, 8)):
-            for z in enumerate_factorizations(B32, x):
+            for z in iter_factorizations(B32, x):
                 assert z.eval(B32.q) == x
 
     def test_budget(self):
         with pytest.raises(OracleBudgetExceeded):
-            enumerate_factorizations(B32, F(27), cap=5)
+            list(iter_factorizations(B32, F(27), cap=5))
 
     def test_exact_state_counts(self):
         # (base, x, states of the length-set DP, states of the full search):
@@ -533,16 +544,16 @@ class TestEnumeration:
             (RationalBase(5, 3), F(250, 9), 51, 91),
             (RationalBase(11, 10), F(121, 10), 59, 78),
         ):
-            for oracle, states in ((enumerate_length_set_dp, dp_states), (enumerate_factorizations, search_states)):
-                oracle(base, x, cap=states)
+            for oracle, states in ((enumerate_length_set_dp, dp_states), (iter_factorizations, search_states)):
+                list(oracle(base, x, cap=states))
                 with pytest.raises(OracleBudgetExceeded):
-                    oracle(base, x, cap=states - 1)
+                    list(oracle(base, x, cap=states - 1))
 
     def test_length_set_matches_materialized(self):
         for base in BASES:
             for k in (1, 2):
                 x = F(base.a**k)
-                lengths = {z.length() for z in enumerate_factorizations(base, x)}
+                lengths = {z.length() for z in iter_factorizations(base, x)}
                 assert enumerate_length_set_dp(base, x) == lengths
 
 
@@ -588,6 +599,16 @@ def test_iter_factorizations_matches_the_depth_first_search(case, small_cap):
     for cap in caps:
         expected = budget_outcome(iter_factorizations_dfs(base, x, Budget(cap)))
         assert budget_outcome(iter_factorizations(base, x, cap)) == expected, cap
+
+
+@given(enumeration_cases())
+@settings(max_examples=300, deadline=None)
+def test_iter_factorizations_yields_in_print_order(case):
+    # The pair lists come out ascending, as factorize --enumerate prints them.
+    base, x = case
+    pairs = budget_outcome(z.to_pairs() for z in iter_factorizations(base, x, DFS_CAP))
+    if pairs is not None:
+        assert pairs == sorted(pairs)
 
 
 class TestLengthStats:
@@ -693,7 +714,7 @@ class TestMoveProperties:
         # to the same form
         for base in BASES:
             x = F(base.a**2)
-            zs = enumerate_factorizations(base, x)
+            zs = list(iter_factorizations(base, x))
             ups = {up_normal_form(base, z) for z in zs}
             downs = {down_normal_form(base, z) for z in zs}
             assert len(ups) == 1 and len(downs) == 1
@@ -768,7 +789,7 @@ def test_membership_witness_is_up_normal_form(base, terms):
 @settings(max_examples=60, deadline=None)
 def test_length_set_matches_enumerated_lengths(base, terms):
     x = NatPoly(terms).eval(base.q)
-    assert enumerate_length_set_dp(base, x) == {z.length() for z in enumerate_factorizations(base, x)}
+    assert enumerate_length_set_dp(base, x) == {z.length() for z in iter_factorizations(base, x)}
 
 
 @given(
