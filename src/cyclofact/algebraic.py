@@ -21,9 +21,8 @@ algebra in the power basis, shows the atoms are exactly 1..root^deg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .minimal_pair import MinimalPair, minimal_pair
 from .polynomials import NatPoly, RatPoly
@@ -144,8 +143,7 @@ def power_coordinates(minpoly: RatPoly, kmax: int) -> list[tuple[Fraction, ...]]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LowerBoundStep:
+class LowerBoundStep(NamedTuple):
     """Power n of the two-factorizations element, with its elasticity bound."""
 
     n: int
@@ -191,8 +189,7 @@ def elasticity_lower_bound_sequence(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     """Outcome of the atom census behind the finitely-generated formula.
 
     status is "value" (hypothesis verified, value holds), "inapplicable"

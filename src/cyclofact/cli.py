@@ -19,7 +19,6 @@ from typing import Optional, TextIO
 
 from .elasticity import (
     DEFAULT_SCAN_CAP,
-    ElasticityTarget,
     ScanCapExceeded,
     construct_elasticity,
     elasticity_scan,
@@ -178,11 +177,10 @@ def _cmd_construct_elasticity(args) -> dict:
     base = _base_for(args.q)
     if args.target < 1:
         raise CliError(f"--target: elasticities are >= 1, got {format_rat(args.target)}")
-    target = ElasticityTarget.from_rational(args.target)
-    cert = construct_elasticity(base, target, scan_cap=args.scan_cap)
+    cert = construct_elasticity(base, args.target, scan_cap=args.scan_cap)
     return {
         "q": str(base),
-        "target": f"{target.s}/{target.t}",
+        "target": f"{args.target.numerator}/{args.target.denominator}",
         "element": format_rat(cert.element),
         "presentation": cert.presentation.to_pairs(),
         "min_length": cert.min_len,

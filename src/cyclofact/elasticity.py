@@ -43,10 +43,8 @@ A scan's rows stay integers; the CLI's CSV writer reduces them.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .polynomials import NatPoly
 from .semiring import DEFAULT_ORACLE_CAP, OracleBudgetExceeded, RationalBase, _ladder_estimate, max_atom_exponent
@@ -63,36 +61,12 @@ class ScanCapExceeded(RuntimeError):
         self.partial_log = partial_log or []
 
 
-@dataclass(frozen=True)
-class ElasticityTarget:
-    """Target ratio s/t in lowest terms, s >= t >= 1."""
-
-    s: int
-    t: int
-
-    def __post_init__(self):
-        if self.t < 1 or self.s < self.t:
-            raise ValueError("target requires s >= t >= 1")
-        if math.gcd(self.s, self.t) != 1:
-            raise ValueError("target s/t must be in lowest terms")
-
-    @classmethod
-    def from_rational(cls, ratio: Fraction) -> "ElasticityTarget":
-        ratio = Fraction(ratio)
-        return cls(ratio.numerator, ratio.denominator)
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.s, self.t)
-
-
 # ---------------------------------------------------------------------------
 # Forced atoms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ForcedShift:
+class ForcedShift(NamedTuple):
     """Result of adding forced atoms: every factorization must contain them."""
 
     element: Fraction
@@ -188,20 +162,18 @@ def forced_atom_shift(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ElasticityCertificate:
+class ElasticityCertificate(NamedTuple):
     """An element realizing a target elasticity, with its construction log."""
 
     element: Fraction
     presentation: NatPoly
     min_len: int
     max_len: int
-    achieved: Fraction
     construction_log: tuple[dict, ...]
 
-    def __post_init__(self):
-        if Fraction(self.max_len, self.min_len) != self.achieved:
-            raise ValueError("tracked lengths do not realize the claimed ratio")
+    @property
+    def achieved(self) -> Fraction:
+        return Fraction(self.max_len, self.min_len)
 
 
 def _integer_min_length(base: RationalBase, n: int) -> int:
@@ -222,10 +194,10 @@ def _integer_min_length(base: RationalBase, n: int) -> int:
 
 def construct_elasticity(
     base: RationalBase,
-    target: ElasticityTarget,
+    target: Fraction,
     scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> ElasticityCertificate:
-    """Build an element with elasticity exactly target.s/target.t.
+    """Build an element with elasticity exactly target = s/t >= 1.
 
     Scans powers a^k from the threshold exponent, then integer
     perturbations of a^N, for a base element whose length pair satisfies
@@ -235,20 +207,23 @@ def construct_elasticity(
     (module docstring), so only its min length is computed, by the plain up
     carry.  The perturbations stop early once no offset up to scan_cap can
     reach the cap (module docstring); phase B logs no rows, so where it
-    stops does not show in the error.  Raises ScanCapExceeded (with the partial residue table) if
-    the bounded scan finds none.
+    stops does not show in the error.  Raises ValueError for a target
+    below 1, and ScanCapExceeded (with the partial residue table) if the
+    bounded scan finds none.
     """
     if base.is_integer:
         raise ValueError("the construction requires a non-integer base q = a/b, b >= 2")
-    s, t = target.s, target.t
+    if target < 1:
+        raise ValueError("target requires s >= t >= 1")
+    s, t = target.numerator, target.denominator
     log: list[dict] = []
     if s == t:
         pres = NatPoly.atom(0)
         log.append({"step": "select", "kind": "atom", "element": "1"})
-        return ElasticityCertificate(Fraction(1), pres, 1, 1, Fraction(1), tuple(log))
+        return ElasticityCertificate(Fraction(1), pres, 1, 1, tuple(log))
 
     d = s - t
-    n_exp = max_atom_exponent(base, target.ratio) + 1
+    n_exp = max_atom_exponent(base, target) + 1
     log.append({"step": "threshold", "N": n_exp, "condition": f"q^N > {s}/{t}"})
 
     # (n, min length of n, select log entry)
@@ -320,13 +295,9 @@ def construct_elasticity(
             "exponents": list(shifted.forced_exponents),
         }
     )
-    min_len = ell + c
-    max_len = n + c
-    achieved = Fraction(max_len, min_len)
-    assert achieved == target.ratio
-    return ElasticityCertificate(
-        shifted.element, shifted.presentation, min_len, max_len, achieved, tuple(log)
-    )
+    cert = ElasticityCertificate(shifted.element, shifted.presentation, ell + c, n + c, tuple(log))
+    assert cert.achieved == target
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +305,7 @@ def construct_elasticity(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ElasticityScan:
+class ElasticityScan(NamedTuple):
     """Scan rows as integer triples (value * scale, min length, max length).
 
     A row's value is value/scale and its elasticity max/min; nothing here

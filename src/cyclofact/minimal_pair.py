@@ -13,14 +13,13 @@ matters; only monicity and nonzero-ness are verified here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polynomials import NatPoly, RatPoly
 
 
-@dataclass(frozen=True)
-class MinimalPair:
+class MinimalPair(NamedTuple):
     """The split ell*f = p - q0 with supports of p and q0 disjoint."""
 
     ell: int

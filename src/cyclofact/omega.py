@@ -27,17 +27,15 @@ link and is the reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .polynomials import NatPoly
 from .rationals import simplest_in_open
 from .semiring import MAX_LADDER_BITS, OracleBudgetExceeded, RationalBase, _digit_count, max_atom_exponent
 
 
-@dataclass(frozen=True)
-class IntervalMonoid:
+class IntervalMonoid(NamedTuple):
     """The monoid generated by [1, q] for rational q in (1, 2)."""
 
     q: Fraction
@@ -69,8 +67,7 @@ def interval_membership(monoid: IntervalMonoid, x: Fraction) -> bool:
     return k >= 1 and x <= k * monoid.q
 
 
-@dataclass(frozen=True)
-class OmegaIntervalResult:
+class OmegaIntervalResult(NamedTuple):
     """omega(a) = conductor + ceil(a), certified in both directions.
 
     The upper direction needs no witness: any conductor + ceil(a) nonzero
@@ -114,8 +111,7 @@ def omega_interval_atom(monoid: IntervalMonoid, a: Fraction) -> OmegaIntervalRes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisibilityCertificate:
+class DivisibilityCertificate(NamedTuple):
     """Explicit witness that divisor divides dividend in the monoid."""
 
     dividend: Fraction
@@ -123,8 +119,7 @@ class DivisibilityCertificate:
     quotient_presentation: NatPoly
 
 
-@dataclass(frozen=True)
-class ChainEntry:
+class ChainEntry(NamedTuple):
     """One link of the divisibility chain, with both certificates.
 
     from_base witnesses (base power | beta); step witnesses the previous
@@ -182,8 +177,7 @@ def antiprime_witness_chain(q: Fraction, k: int, n: int) -> list[ChainEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class OmegaWitness:
+class OmegaWitness(NamedTuple):
     """Proof object for omega(q^atom_power) > K.
 
     x is divisible by q^atom_power (see certificate) yet is presented
@@ -197,9 +191,10 @@ class OmegaWitness:
     x: Fraction
     x_presentation: NatPoly
     certificate: DivisibilityCertificate
-    # witness_checks as omega_lower_bound ran them; a witness built any other
-    # way, or copied with dataclasses.replace, carries None.
-    checks: Optional[dict[str, bool]] = field(default=None, init=False, compare=False, repr=False)
+    # witness_checks as omega_lower_bound ran them, or None for a witness built
+    # any other way.  _replace carries them along: run witness_checks again on
+    # an edited copy.
+    checks: Optional[dict[str, bool]] = None
 
 
 def witness_checks(witness: OmegaWitness, q: Fraction) -> dict[str, bool]:
@@ -227,7 +222,9 @@ def omega_lower_bound(q: Fraction, k: int, K: int) -> OmegaWitness:
     past MAX_LADDER_BITS raise OracleBudgetExceeded.  The witness is the
     last link of the chain run for N-k steps, in closed form: x = a^N / b^k,
     presented as b^(N-k) X^N, with quotient sum_{j=k}^{N-1} (a-1) b^(j-k) X^j.
-    The four witness_checks run once and are kept on the witness.
+    An a^N or b^k past MAX_LADDER_BITS raises OracleBudgetExceeded before
+    either power is taken.  The four witness_checks run once and are kept
+    on the witness.
     """
     a, b = _check_chain_regime(q)
     q = Fraction(q)
@@ -243,6 +240,13 @@ def omega_lower_bound(q: Fraction, k: int, K: int) -> OmegaWitness:
             f"a witness of omega(q^{k}) > K at q={q}, with K of {_digit_count(K)} digits,"
             f" needs a level N past the ladder limit of {MAX_LADDER_BITS} bits"
         ) from None
+    # x = a^N / b^k.  As b >= 3, a k past the limit puts b^k past it, and testing
+    # k first keeps a huge k from overflowing its float conversion.
+    if k > MAX_LADDER_BITS or max(n_exp * math.log2(a), k * math.log2(b)) > MAX_LADDER_BITS:
+        raise OracleBudgetExceeded(
+            f"a witness of omega(q^k) > K at q={q}, with k of {_digit_count(k)} digits,"
+            f" needs x = a^N / b^k past the ladder limit of {MAX_LADDER_BITS} bits"
+        )
     quotient = {}
     weight = a - 1  # (a-1) b^(j-k), one multiplication per level
     for j in range(k, n_exp):
@@ -255,5 +259,4 @@ def omega_lower_bound(q: Fraction, k: int, K: int) -> OmegaWitness:
     if not all(checks.values()):
         failed = [name for name, ok in checks.items() if not ok]
         raise AssertionError(f"witness construction failed its own checks: {failed}")
-    object.__setattr__(witness, "checks", checks)
-    return witness
+    return witness._replace(checks=checks)

@@ -83,9 +83,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .polynomials import NatPoly
 
@@ -107,24 +106,23 @@ class NotInMonoidError(ValueError):
     """An operation required a value that is not an element of the monoid."""
 
 
-@dataclass(frozen=True)
-class RationalBase:
+class RationalBase(NamedTuple("RationalBase", [("a", int), ("b", int)])):
     """The base q = a/b > 1 in lowest terms.
 
     b == 1 selects the integer (UFM) regime; the rewriting and enumeration
     operations require b >= 2.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+    def __new__(cls, a: int, b: int):
+        if a <= 0 or b <= 0:
             raise ValueError("base requires positive numerator and denominator")
-        if math.gcd(self.a, self.b) != 1:
+        if math.gcd(a, b) != 1:
             raise ValueError("base a/b must be in lowest terms")
-        if self.a <= self.b:
+        if a <= b:
             raise ValueError("base must satisfy q = a/b > 1")
+        return super().__new__(cls, a, b)
 
     @classmethod
     def from_rational(cls, q: Fraction) -> "RationalBase":
@@ -360,16 +358,18 @@ def iter_factorizations(
         yield NatPoly(pairs)
 
 
-@dataclass(frozen=True)
-class LengthStats:
+class LengthStats(NamedTuple):
     """Min/max factorization lengths, their ratio, the up normal form of x
     and, when requested, the length set {min, min + (a-b), ..., max}."""
 
     min_len: int
     max_len: int
-    elasticity: Fraction
     min_factorization: NatPoly
     length_set: Optional[tuple[int, ...]] = None
+
+    @property
+    def elasticity(self) -> Fraction:
+        return Fraction(self.max_len, self.min_len)
 
 
 def length_stats(
@@ -399,7 +399,7 @@ def length_stats(
         gap = base.a - base.b
         Budget(cap).spend((max_len - min_len) // gap + 1)
         lengths = tuple(range(min_len, max_len + 1, gap))
-    return LengthStats(min_len, max_len, Fraction(max_len, min_len), minimum, lengths)
+    return LengthStats(min_len, max_len, minimum, lengths)
 
 
 def enumerate_length_set(

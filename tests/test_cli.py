@@ -16,7 +16,10 @@ from hypothesis import given, settings
 
 import cyclofact.cli as cli
 from cyclofact.cli import COMMANDS, EXIT_BUDGET, EXIT_DOMAIN_ERROR, EXIT_OK, CliError, build_parser, main
+from cyclofact.elasticity import construct_elasticity
+from cyclofact.omega import IntervalMonoid
 from cyclofact.polynomials import NatPoly
+from cyclofact.semiring import RationalBase, length_stats
 
 
 def run_cli(capsys, *argv):
@@ -246,18 +249,38 @@ def test_bases_near_one_exit_2_before_building_the_ladder():
         assert elapsed < 1.0, elapsed
 
 
-def test_huge_antiprime_bound_exits_2_before_building_the_ladder():
-    # At q = 999/1000, K = 10^20000 puts N near 4.6*10^7: the threshold
-    # exponent's size check must refuse it instead of multiplying up to it.
-    proc, _ = run_limited(("antiprime", "--q", "999/1000", "--k", "0", "--K", "1" + "0" * 20000), 2**31)
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # At q = 999/1000, K = 10^20000 puts N near 4.6*10^7: the threshold
+        # exponent's size check must refuse it instead of multiplying up to it.
+        (
+            ("--q", "999/1000", "--k", "0", "--K", "1" + "0" * 20000),
+            "a witness of omega(q^0) > K at q=999/1000, with K of 20001 digits,"
+            " needs a level N past the ladder limit of 268435456 bits",
+        ),
+        # At q = 2/3 the witness's denominator 3^k has about 3.2*10^8 bits at
+        # k = 2*10^8; a k of 1001 digits is past the limit before any float.
+        (
+            ("--q", "2/3", "--k", "200000000", "--K", "1"),
+            "a witness of omega(q^k) > K at q=2/3, with k of 9 digits,"
+            " needs x = a^N / b^k past the ladder limit of 268435456 bits",
+        ),
+        (
+            ("--q", "2/3", "--k", "1" + "0" * 1000, "--K", "1"),
+            "a witness of omega(q^k) > K at q=2/3, with k of 1001 digits,"
+            " needs x = a^N / b^k past the ladder limit of 268435456 bits",
+        ),
+    ],
+    ids=["K", "k-bits", "k-digits"],
+)
+def test_huge_antiprime_bound_exits_2_before_building_the_ladder(argv, message):
+    proc, elapsed = run_limited(("antiprime", *argv), 2**31)
     assert proc.returncode == EXIT_BUDGET, proc.stderr[:300]
-    assert json.loads(proc.stderr)["error"] == {
-        "type": "OracleBudgetExceeded",
-        "message": "a witness of omega(q^0) > K at q=999/1000, with K of 20001 digits,"
-        " needs a level N past the ladder limit of 268435456 bits",
-    }
+    assert json.loads(proc.stderr)["error"] == {"type": "OracleBudgetExceeded", "message": message}
     assert len(proc.stderr) < 300
     assert not proc.stdout
+    assert elapsed < 1.0, elapsed
 
 
 def test_enumeration_budget_is_charged_per_child():
@@ -645,6 +668,35 @@ def test_every_traced_layer_resolves():
         assert callable(owner), (module_name, path)
 
 
+def test_records_are_immutable_hashable_values():
+    for a, b, message in ((4, 2, "lowest terms"), (2, 3, "q = a/b > 1"), (0, 1, "positive")):
+        with pytest.raises(ValueError, match=message):
+            RationalBase(a, b)
+    base = RationalBase(3, 2)
+    cert = construct_elasticity(base, Fraction(5, 3))
+    for record, field in ((base, "a"), (cert, "min_len")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 7)
+        assert not hasattr(record, "__dict__")
+    stats, twin = length_stats(base, Fraction(9)), length_stats(RationalBase(3, 2), Fraction(9))
+    assert stats == twin and hash(stats) == hash(twin)
+    assert hash(base) == hash(RationalBase(3, 2))
+    with pytest.raises(ValueError):
+        construct_elasticity(base, Fraction(1, 2))
+    # The tracer rewraps a classmethod only when the class dict holds one.
+    tracer = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))["Tracer"]()
+    original = IntervalMonoid.__dict__["for_ratio"]
+    assert isinstance(original, classmethod)
+    tracer.install()
+    try:
+        assert IntervalMonoid.__dict__["for_ratio"] is not original
+        assert IntervalMonoid.for_ratio(Fraction(3, 2)).conductor == 2
+    finally:
+        tracer.uninstall()
+    assert IntervalMonoid.__dict__["for_ratio"] is original
+    assert tracer.counts["omega.IntervalMonoid.for_ratio.conductor_sum"] == 2
+
+
 def test_package_import_is_empty_and_cli_loads_every_traced_module():
     # The package re-exports nothing, so importing it loads no submodule;
     # bench/tracer.py finds each traced module in sys.modules after
@@ -666,6 +718,8 @@ def test_package_import_is_empty_and_cli_loads_every_traced_module():
     assert {f"{tracer['PACKAGE']}.{m}" for m, _ in tracer["LAYERS"]} <= set(loaded)
     assert "cyclofact.algebraic" not in loaded
     assert not {"cyclofact.algebraic", "cyclofact.minimal_pair"} & set(alone)
+    # The records are NamedTuples: no dataclasses, and so no inspect, at startup.
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_module_entry_point_runs():

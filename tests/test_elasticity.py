@@ -14,7 +14,6 @@ import cyclofact.elasticity as elasticity
 from cyclofact.algebraic import elasticity_formula, elasticity_lower_bound_sequence
 from cyclofact.cli import main, write_scan_csv
 from cyclofact.elasticity import (
-    ElasticityTarget,
     ScanCapExceeded,
     construct_elasticity,
     elasticity_scan,
@@ -48,7 +47,7 @@ GRID_BASES = [RationalBase(3, 2), RationalBase(5, 3), RationalBase(5, 2), Ration
 
 def coprime_targets(smax=9):
     return [
-        ElasticityTarget(s, t)
+        F(s, t)
         for s in range(2, smax + 1)
         for t in range(1, s)
         if math.gcd(s, t) == 1
@@ -245,7 +244,7 @@ class TestForcedAtomShift:
 
 class TestConstructElasticity:
     def test_base_element_nine_with_six_shifts(self):
-        cert = construct_elasticity(B32, ElasticityTarget(5, 3))
+        cert = construct_elasticity(B32, F(5, 3))
         select = next(e for e in cert.construction_log if e["step"] == "select")
         assert select["element"] == "9"
         assert select["shift_count"] == 6
@@ -253,19 +252,19 @@ class TestConstructElasticity:
         assert (cert.min_len, cert.max_len) == (9, 15)
 
     def test_trivial_target(self):
-        cert = construct_elasticity(B32, ElasticityTarget(1, 1))
+        cert = construct_elasticity(B32, F(1, 1))
         assert cert.element == 1
         assert cert.achieved == F(1)
 
     def test_inverse_base_target(self):
-        cert = construct_elasticity(RationalBase(5, 3), ElasticityTarget(3, 2))
+        cert = construct_elasticity(RationalBase(5, 3), F(3, 2))
         assert cert.achieved == F(3, 2)
 
     def test_grid_tracked_ratios(self):
         for base in GRID_BASES:
             for target in coprime_targets():
                 cert = construct_elasticity(base, target)
-                assert F(cert.max_len, cert.min_len) == target.ratio
+                assert F(cert.max_len, cert.min_len) == target
 
     def test_certificate_lengths_rederivable_by_normal_forms(self):
         for target in coprime_targets(6):
@@ -275,7 +274,7 @@ class TestConstructElasticity:
             assert cert.presentation.eval(B32.q) == cert.element
 
     def test_small_instance_verified_by_oracle(self):
-        cert = construct_elasticity(B32, ElasticityTarget(4, 3))
+        cert = construct_elasticity(B32, F(4, 3))
         if cert.element <= 10**4:
             lengths = {z.length() for z in iter_factorizations(B32, cert.element)}
             assert min(lengths) == cert.min_len
@@ -283,12 +282,12 @@ class TestConstructElasticity:
 
     def test_scan_cap_exhaustion_carries_partial_log(self):
         with pytest.raises(ScanCapExceeded) as err:
-            construct_elasticity(B32, ElasticityTarget(9, 1), scan_cap=1)
+            construct_elasticity(B32, F(9, 1), scan_cap=1)
         assert err.value.partial_log
 
     def test_integer_base_rejected(self):
         with pytest.raises(ValueError):
-            construct_elasticity(RationalBase(3, 1), ElasticityTarget(3, 2))
+            construct_elasticity(RationalBase(3, 1), F(3, 2))
 
 
 # sha256 of the construct-elasticity stdout documents, concatenated over the
@@ -307,7 +306,7 @@ def test_certificate_documents_are_pinned(q):
     for target in coprime_targets(11):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert main(["construct-elasticity", "--q", q, "--target", f"{target.s}/{target.t}"]) == 0
+            assert main(["construct-elasticity", "--q", q, "--target", f"{target.numerator}/{target.denominator}"]) == 0
         digest.update(out.getvalue().encode())
     assert digest.hexdigest() == CERTIFICATE_DIGESTS[q]
 
@@ -330,7 +329,7 @@ def test_certificate_outcomes_are_pinned_on_more_bases(q):
     for target in coprime_targets(11):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["construct-elasticity", "--q", q, "--target", f"{target.s}/{target.t}"])
+            code = main(["construct-elasticity", "--q", q, "--target", f"{target.numerator}/{target.denominator}"])
         failures += code != 0
         digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
     assert (digest.hexdigest(), failures) == OUTCOME_DIGESTS[q]
@@ -461,10 +460,6 @@ def test_scan_csv_matches_the_fraction_rows():
 
 
 def test_target_validation():
-    with pytest.raises(ValueError):
-        ElasticityTarget(2, 4)
-    with pytest.raises(ValueError):
-        ElasticityTarget(1, 2)
-    with pytest.raises(ValueError):
-        ElasticityTarget(3, 0)
-    assert ElasticityTarget.from_rational(F(6, 4)) == ElasticityTarget(3, 2)
+    for target in (F(1, 2), F(2, 4)):
+        with pytest.raises(ValueError):
+            construct_elasticity(B32, target)
