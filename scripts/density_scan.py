@@ -22,18 +22,10 @@ from fractions import Fraction
 from cyclofact.cli import main as cyclofact_main
 
 
-def rational(text: str) -> Fraction:
-    """Read "num" or "num/den" (den > 0) as the CLI does."""
-    num, slash, den = text.partition("/")
-    if slash and int(den) <= 0:
-        raise ValueError(f"denominator must be positive in {text!r}")
-    return Fraction(int(num), int(den) if slash else 1)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--q", type=rational, default=Fraction(3, 2))
-    parser.add_argument("--bound", type=rational, default=Fraction(30))
+    parser.add_argument("--q", default="3/2")
+    parser.add_argument("--bound", default="30")
     parser.add_argument("--budget", type=int, default=10**6)
     parser.add_argument("--out", help="optional CSV path")
     args = parser.parse_args()

@@ -24,19 +24,10 @@ from fractions import Fraction
 from cyclofact.cli import main as cyclofact_main
 
 
-def rational(text: str) -> Fraction:
-    """Read "num" or "num/den" (den > 0) as the CLI does."""
-    num, slash, den = text.partition("/")
-    if slash and int(den) <= 0:
-        raise ValueError(f"denominator must be positive in {text!r}")
-    return Fraction(int(num), int(den) if slash else 1)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smax", type=int, default=9)
-    parser.add_argument("--bases", type=rational, nargs="+",
-                        default=[Fraction(3, 2), Fraction(5, 3), Fraction(5, 2)])
+    parser.add_argument("--bases", nargs="+", default=["3/2", "5/3", "5/2"])
     parser.add_argument("--scan-cap", type=int, default=200)
     args = parser.parse_args()
 

@@ -21,10 +21,7 @@ perturbations a^N + m.  Scanning powers alone can leave the shift count c at
 the scale of a^k itself, far beyond anything materializable, while the
 perturbation offset walks the residue of t*L - s*ell through every class
 modulo s-t at fixed magnitude; the materialization cap ``MATERIALIZE_CAP``
-on the shift count keeps certificates explicit.  Adding the atom 1 to a min
-factorization of n gives ell(n+1) <= ell(n) + 1, so t*L - s*ell falls by at
-most s-t per offset; the perturbation phase stops as soon as no offset left
-can bring the shift count down to the cap.  A target that neither phase
+on the shift count keeps certificates explicit.  A target that neither phase
 reaches within the caps raises ``ScanCapExceeded``.
 
 Every candidate is an integer n, and n copies of the atom 1 have no digit at
@@ -192,24 +189,49 @@ def _integer_min_length(base: RationalBase, n: int) -> int:
     return total
 
 
+def _candidates(base: RationalBase, s: int, t: int, n_exp: int, scan_cap: int, log: list[dict]):
+    """Yield (n, min length of n, select fields) per candidate base element."""
+    d = s - t
+    # Phase A: powers a^k, where t*L - s*ell > 0 holds from k = N on.
+    for k in range(n_exp, n_exp + scan_cap):
+        # The carry of a^k runs about log_q a^k levels: max_atom_exponent's
+        # size check, made before the power.  It covers phase B's a^N + m.
+        _, needs = _ladder_estimate(base, base.a, 1, k)
+        if needs:
+            raise OracleBudgetExceeded(f"q^e <= a^{k} at q={base}, a candidate for target {s}/{t}, needs {needs}")
+        n = base.a**k
+        ell = _integer_min_length(base, n)
+        score = t * n - s * ell
+        log.append({"step": "scan", "k": k, "min_len": ell, "max_len": n, "residue": score % d})
+        yield n, ell, {"kind": "power", "indices": [k]}
+        # Stop once the implied shift count outgrows the materialization cap.
+        if score // d > MATERIALIZE_CAP:
+            log.append({"step": "scan-stop", "reason": "shift count beyond materialization cap"})
+            break
+    # Phase B: perturbations a^N + m walk the residue of t*L - s*ell through
+    # the classes modulo s-t at bounded magnitude.  ell(n+1) <= ell(n) + 1
+    # (add the atom 1), so the score falls by at most d per offset: once
+    # score // d exceeds the cap by more than the offsets left, no offset up
+    # to scan_cap can be selected.  This phase logs no rows, so where it
+    # stops does not show in the error.
+    power = base.a**n_exp
+    for m in range(1, scan_cap + 1):
+        n = power + m
+        ell = _integer_min_length(base, n)
+        if (t * n - s * ell) // d - (scan_cap - m) > MATERIALIZE_CAP:
+            return
+        yield n, ell, {"kind": "perturbed-power", "indices": [n_exp], "offset": m}
+
+
 def construct_elasticity(
     base: RationalBase,
     target: Fraction,
     scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> ElasticityCertificate:
-    """Build an element with elasticity exactly target = s/t >= 1.
+    """Build an element with elasticity exactly target = s/t >= 1 (module docstring).
 
-    Scans powers a^k from the threshold exponent, then integer
-    perturbations of a^N, for a base element whose length pair satisfies
-    the divisibility condition with a shift count of at most
-    ``MATERIALIZE_CAP``; then adds the forced atoms.  Each candidate is an
-    integer n, whose max length is n and whose max form is n copies of 1
-    (module docstring), so only its min length is computed, by the plain up
-    carry.  The perturbations stop early once no offset up to scan_cap can
-    reach the cap (module docstring); phase B logs no rows, so where it
-    stops does not show in the error.  Raises ValueError for a target
-    below 1, and ScanCapExceeded (with the partial residue table) if the
-    bounded scan finds none.
+    Raises ValueError for a target below 1, and ScanCapExceeded (with the
+    partial residue table) if no candidate within scan_cap is selected.
     """
     if base.is_integer:
         raise ValueError("the construction requires a non-integer base q = a/b, b >= 2")
@@ -222,70 +244,19 @@ def construct_elasticity(
         log.append({"step": "select", "kind": "atom", "element": "1"})
         return ElasticityCertificate(Fraction(1), pres, 1, 1, tuple(log))
 
-    d = s - t
     n_exp = max_atom_exponent(base, target) + 1
     log.append({"step": "threshold", "N": n_exp, "condition": f"q^N > {s}/{t}"})
-
-    # (n, min length of n, select log entry)
-    chosen: Optional[tuple[int, int, dict]] = None
-
-    # Phase A: single powers a^k.  t*L - s*ell > 0 holds for k >= N; stop
-    # once the implied shift count outgrows the materialization cap.
-    for k in range(n_exp, n_exp + scan_cap):
-        # The carry of a^k runs about log_q a^k levels: max_atom_exponent's
-        # size check, made before the power.  It covers phase B's a^N + m.
-        _, needs = _ladder_estimate(base, base.a, 1, k)
-        if needs:
-            raise OracleBudgetExceeded(f"q^e <= a^{k} at q={base}, a candidate for target {s}/{t}, needs {needs}")
-        n = base.a**k
-        ell = _integer_min_length(base, n)
-        score = t * n - s * ell
-        residue = score % d
-        log.append({"step": "scan", "k": k, "min_len": ell, "max_len": n, "residue": residue})
-        if residue == 0 and 0 <= score // d <= MATERIALIZE_CAP:
-            chosen = (n, ell, {"step": "select", "kind": "power", "indices": [k], "residue": 0})
+    for n, ell, fields in _candidates(base, s, t, n_exp, scan_cap, log):
+        c, residue = divmod(t * n - s * ell, s - t)
+        if residue == 0 and 0 <= c <= MATERIALIZE_CAP:
             break
-        if score // d > MATERIALIZE_CAP:
-            log.append({"step": "scan-stop", "reason": "shift count beyond materialization cap"})
-            break
-
-    # Phase B: integer perturbations a^N + m.  The offset walks the residue
-    # of t*L - s*ell through the classes modulo s-t at bounded magnitude.
-    # ell(n+1) <= ell(n) + 1 (add the atom 1), so the score falls by at most
-    # d per offset: once score // d exceeds the cap by more than the offsets
-    # left, no offset up to scan_cap can be selected.
-    if chosen is None:
-        power = base.a**n_exp
-        for m in range(1, scan_cap + 1):
-            n = power + m
-            ell = _integer_min_length(base, n)
-            score = t * n - s * ell
-            if score // d - (scan_cap - m) > MATERIALIZE_CAP:
-                break
-            if score >= 0 and score % d == 0 and score // d <= MATERIALIZE_CAP:
-                chosen = (
-                    n,
-                    ell,
-                    {
-                        "step": "select",
-                        "kind": "perturbed-power",
-                        "indices": [n_exp],
-                        "offset": m,
-                        "residue": 0,
-                    },
-                )
-                break
-
-    if chosen is None:
+    else:
         raise ScanCapExceeded(
             f"no base element with (s-t) | tL - s*ell found within scan cap "
             f"{scan_cap} for target {s}/{t} at q={base}",
             partial_log=log,
         )
-
-    n, ell, selection = chosen
-    c = (t * n - s * ell) // d
-    log.append(dict(selection, element=str(n), shift_count=c))
+    log.append({"step": "select", **fields, "residue": 0, "element": str(n), "shift_count": c})
 
     shifted = forced_atom_shift(base, Fraction(n), NatPoly({0: n}), c)
     log.append(

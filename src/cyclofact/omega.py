@@ -237,7 +237,7 @@ def omega_lower_bound(q: Fraction, k: int, K: int) -> OmegaWitness:
         n_exp = k + max_atom_exponent(RationalBase(b, a), Fraction(K)) + 1
     except OracleBudgetExceeded:
         raise OracleBudgetExceeded(
-            f"a witness of omega(q^{k}) > K at q={q}, with K of {_digit_count(K)} digits,"
+            f"a witness of omega(q^k) > K at q={q}, with k of {_digit_count(k)} and K of {_digit_count(K)} digits,"
             f" needs a level N past the ladder limit of {MAX_LADDER_BITS} bits"
         ) from None
     # x = a^N / b^k.  As b >= 3, a k past the limit puts b^k past it, and testing

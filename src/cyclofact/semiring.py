@@ -125,6 +125,11 @@ class RationalBase(NamedTuple("RationalBase", [("a", int), ("b", int)])):
         return super().__new__(cls, a, b)
 
     @classmethod
+    def _make(cls, iterable) -> "RationalBase":
+        # The inherited _make (and _replace, which calls it) skips __new__.
+        return cls(*iterable)
+
+    @classmethod
     def from_rational(cls, q: Fraction) -> "RationalBase":
         q = Fraction(q)
         return cls(q.numerator, q.denominator)
@@ -172,8 +177,8 @@ def _ladder_estimate(base: RationalBase, num: int, den: int, k: int = 1) -> tupl
 
 
 def _digit_count(n: int) -> int:
-    """Decimal digits of n >= 1, without the quadratic int-to-str conversion."""
-    digits = int((n.bit_length() - 1) * math.log10(2))  # at most the true count
+    """Decimal digits of n >= 0, without the quadratic int-to-str conversion."""
+    digits = max(1, int((n.bit_length() - 1) * math.log10(2)))  # at most the true count
     while 10**digits <= n:
         digits += 1
     return digits

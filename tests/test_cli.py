@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 import resource
 import runpy
@@ -256,7 +258,13 @@ def test_bases_near_one_exit_2_before_building_the_ladder():
         # exponent's size check must refuse it instead of multiplying up to it.
         (
             ("--q", "999/1000", "--k", "0", "--K", "1" + "0" * 20000),
-            "a witness of omega(q^0) > K at q=999/1000, with K of 20001 digits,"
+            "a witness of omega(q^k) > K at q=999/1000, with k of 1 and K of 20001 digits,"
+            " needs a level N past the ladder limit of 268435456 bits",
+        ),
+        # The same refusal names a huge k by its digit count too.
+        (
+            ("--q", "999/1000", "--k", "1" + "0" * 5000, "--K", "1" + "0" * 20000),
+            "a witness of omega(q^k) > K at q=999/1000, with k of 5001 and K of 20001 digits,"
             " needs a level N past the ladder limit of 268435456 bits",
         ),
         # At q = 2/3 the witness's denominator 3^k has about 3.2*10^8 bits at
@@ -272,7 +280,7 @@ def test_bases_near_one_exit_2_before_building_the_ladder():
             " needs x = a^N / b^k past the ladder limit of 268435456 bits",
         ),
     ],
-    ids=["K", "k-bits", "k-digits"],
+    ids=["K", "k-and-K", "k-bits", "k-digits"],
 )
 def test_huge_antiprime_bound_exits_2_before_building_the_ladder(argv, message):
     proc, elapsed = run_limited(("antiprime", *argv), 2**31)
@@ -445,11 +453,13 @@ def test_density_script_writes_the_cli_csv(capsys, tmp_path, monkeypatch):
     ):
         code, out, _ = run_script(capsys, monkeypatch, "density_scan.py", *argv)
         assert (code, out) == (EXIT_OK, f"{header}\n0 distinct elasticities\n")
-    # A CLI error passes through: its JSON on stderr and its exit code.
-    code, out, err = run_script(capsys, monkeypatch, "density_scan.py", "--q", "1")
-    cli_code, _, cli_err = run_cli(capsys, "elasticity-scan", "--q", "1", "--bound", "30", "--oracle-cap", "1000000")
-    assert (code, out, err) == (cli_code, "", cli_err)
-    assert code == EXIT_DOMAIN_ERROR
+    # A CLI error passes through: its JSON on stderr and its exit code.  The
+    # script parses no value itself, so a malformed one is the CLI's error too.
+    for q in ("1", "3/0"):
+        code, out, err = run_script(capsys, monkeypatch, "density_scan.py", "--q", q)
+        cli_code, _, cli_err = run_cli(capsys, "elasticity-scan", "--q", q, "--bound", "30", "--oracle-cap", "1000000")
+        assert (code, out, err) == (cli_code, "", cli_err)
+        assert code == EXIT_DOMAIN_ERROR
 
 
 def test_grid_script_matches_the_cli_certificates(capsys, monkeypatch):
@@ -486,6 +496,12 @@ def test_grid_script_matches_the_cli_certificates(capsys, monkeypatch):
     assert len(rows) == sum(math.gcd(s, t) == 1 for s in range(2, 31) for t in range(1, s))
     assert code == (1 if failed else EXIT_OK)
     assert lines[-1].startswith(f"{len(rows) - failed} certificates, all exact")
+    # A malformed base reaches the CLI as typed and fails there, once per target.
+    code, out, _ = run_script(capsys, monkeypatch, "full_elasticity_grid.py", "--smax", "2", "--bases", "3/0")
+    cli_code, _, cli_err = run_cli(capsys, "construct-elasticity", "--q", "3/0", "--target", "2/1", "--scan-cap", "200")
+    error = json.loads(cli_err)["error"]["type"]
+    assert out.strip().splitlines()[:2] == ["== q = 3/0 ==", f"  2/1: exit {cli_code}, {error}"]
+    assert code == cli_code == EXIT_DOMAIN_ERROR
 
 
 def test_omega_interval_document(capsys):
@@ -681,6 +697,13 @@ def test_records_are_immutable_hashable_values():
     stats, twin = length_stats(base, Fraction(9)), length_stats(RationalBase(3, 2), Fraction(9))
     assert stats == twin and hash(stats) == hash(twin)
     assert hash(base) == hash(RationalBase(3, 2))
+    # _make and _replace validate as the constructor does; copies still round-trip.
+    with pytest.raises(ValueError, match="lowest terms"):
+        base._replace(a=4)
+    with pytest.raises(ValueError, match="q = a/b > 1"):
+        RationalBase._make((1, 5))
+    for twin in (pickle.loads(pickle.dumps(base)), copy.copy(base)):
+        assert (twin, type(twin)) == (base, RationalBase)
     with pytest.raises(ValueError):
         construct_elasticity(base, Fraction(1, 2))
     # The tracer rewraps a classmethod only when the class dict holds one.

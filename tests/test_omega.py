@@ -19,6 +19,7 @@ from cyclofact.semiring import _digit_count
 @given(st.integers(min_value=1, max_value=4000))
 @settings(max_examples=200)
 def test_digit_count_at_powers_of_ten(d):
+    assert _digit_count(0) == 1
     for n in (10 ** (d - 1), 10**d - 1, 2 ** (d - 1), 7 * 10 ** (d - 1) + 3):
         assert _digit_count(n) == len(str(n))
 
