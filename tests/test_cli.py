@@ -617,6 +617,9 @@ ENUMERATE_DIGESTS = {
     ("5/3", "250/9"): "0dbaa2c24da7b475d604bb6e75c7230c8f536e82a1ddb398e955759d67ed757d",
     ("7/4", "457/16"): "3dad3007b64d9c58734ff614e5eecb47d0a6a72dc215c3eb2af1eee6c9a6f9dc",
     ("11/10", "121/10"): "b6d405c2ae96841b68b435413a1d9f77faba85a1111cdf1f3096ce75eb98729d",
+    # The integer base's one factorization and the empty factorization of 0.
+    ("3", "5"): "b432f03c9564f6f2c98e38b9a74c66cc80605f2b027330f818e04278c695cf36",
+    ("3/2", "0"): "dbf11abb0abeaaf31d44470ed393f6d0bedacbb52f01ae23f7191a48174aef99",
 }
 
 
