@@ -150,7 +150,7 @@ def _cmd_factorize(args) -> dict:
         "max_factorization": down_normal_form(base, witness).to_pairs(),
     }
     if args.enumerate:
-        doc["factorizations"] = [z.to_pairs() for z in iter_factorizations(base, args.value, args.oracle_cap)]
+        doc["factorizations"] = list(iter_factorizations(base, args.value, args.oracle_cap))
     return doc
 
 
@@ -168,7 +168,7 @@ def _cmd_lengths(args) -> dict:
         "elasticity": format_rat(stats.elasticity),
     }
     if stats.length_set is not None:
-        doc["length_set"] = list(stats.length_set)
+        doc["length_set"] = stats.length_set
     doc["min_factorization"] = stats.min_factorization.to_pairs()
     return doc
 
@@ -186,7 +186,7 @@ def _cmd_construct_elasticity(args) -> dict:
         "min_length": cert.min_len,
         "max_length": cert.max_len,
         "achieved": format_rat(cert.achieved),
-        "construction_log": list(cert.construction_log),
+        "construction_log": cert.construction_log,
     }
 
 

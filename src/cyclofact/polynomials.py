@@ -5,7 +5,9 @@ holds the storage, the queries and ``+``, ``-`` and ``*``:
 
 * ``NatPoly``  -- strictly positive integer coefficients.  Doubles as a
   factorization (coefficient at i = multiplicity of the atom q^i) and as an
-  element presentation f with f(q) = value.
+  element presentation f with f(q) = value.  The factorization enumeration
+  streams tuples of (degree, count) pairs instead, the printed form;
+  ``NatPoly(z)`` is the polynomial of one.
 * ``RatPoly``  -- rational coefficients, stored as Fractions: the minimal
   polynomials of minimal-pair computations and of ``algebraic``, and the
   output of the polynomial-string parser.  Adds the remainder ``mod``.

@@ -1,9 +1,10 @@
 """Exact rational helpers shared across the package.
 
 Every quantity in the core library is an exact ``fractions.Fraction``
-(arbitrary precision, always reduced, positive denominator).  No floating
-point is used anywhere: all comparisons and interval searches below are
-integer arithmetic on numerator/denominator.
+(arbitrary precision, always reduced, positive denominator).  Floats only
+estimate an exponent, which integer loops then correct, or a bit size, which
+only decides whether a power is refused; every emitted value is exact.  All
+comparisons and interval searches below are integer arithmetic.
 """
 
 from __future__ import annotations

@@ -67,6 +67,8 @@ Listing each level's nonzero digits ascending, then 0, yields the strings in
 print order, pair lists ascending: strings first differing at level i share
 its state v; a nonzero digit n there gives the pair (i, n), and v admits n,
 so v > 0, and past the digit 0 the next pair has a higher degree.
+Enumeration streams each string in that printed form, a tuple of
+(degree, count) pairs; NatPoly(z) is its polynomial.
 
 For integer q (b = 1) the monoid is all of the nonnegative integers, a UFM:
 the single factorization of x is x copies of the atom 1, and membership,
@@ -211,13 +213,6 @@ def max_atom_exponent(base: RationalBase, x: Fraction) -> int:
     return e
 
 
-def _integer_witness(x: Fraction) -> Optional[NatPoly]:
-    if x.denominator != 1:
-        return None
-    n = x.numerator
-    return NatPoly({0: n}) if n else NatPoly.zero()
-
-
 def _carry(terms: dict[int, int], start: int, step: int, levels: int, carry: int, keep: int, send: int) -> int:
     """The carry out of the module docstring's pass over `levels` degrees
     start, start + step, ...; each degree's kept digit replaces its term."""
@@ -246,10 +241,8 @@ def member_witness(base: RationalBase, x: Fraction) -> Optional[NatPoly]:
     x = Fraction(x)
     if x < 0:
         raise ValueError("monoid elements are nonnegative")
-    if x == 0:
-        return NatPoly.zero()
-    if base.is_integer:
-        return _integer_witness(x)
+    if base.is_integer:  # 0 too: NatPoly drops a zero coefficient
+        return NatPoly({0: x.numerator}) if x.denominator == 1 else None
     a, b = base.a, base.b
     num, den = x.numerator, x.denominator
     levels = max_atom_exponent(base, x) + 1
@@ -299,8 +292,10 @@ class Budget:
 
 def iter_factorizations(
     base: RationalBase, x: Fraction, cap: int = DEFAULT_ORACLE_CAP
-) -> Iterator[NatPoly]:
-    """Stream the complete factorization set of x (exhaustive oracle).
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Stream the complete factorization set of x (exhaustive oracle), each
+    one in the form the CLI prints: a tuple of (degree, count) pairs with
+    degrees ascending and counts >= 1.  NatPoly(z) is its polynomial.
 
     The search tree's nodes are the prefixes n_0 ... n_i of the digit
     strings of the module docstring's branching up carry, the empty root
@@ -311,18 +306,17 @@ def iter_factorizations(
     builds each state's digit suffixes once for all its parents; the
     root's come in the module docstring's print order.
     For x outside the monoid the stream is empty; x = 0 yields the empty
-    factorization.
+    factorization ().
     """
     x = Fraction(x)
     if x < 0:
         raise ValueError("monoid elements are nonnegative")
     if x == 0:
-        yield NatPoly.zero()
+        yield ()
         return
     if base.is_integer:
-        w = _integer_witness(x)
-        if w is not None:
-            yield w
+        if x.denominator == 1:
+            yield ((0, x.numerator),)
         return
     a, b = base.a, base.b
     num, den = x.numerator, x.denominator
@@ -360,7 +354,7 @@ def iter_factorizations(
         while rest:
             pair, rest = rest
             pairs.append(pair)
-        yield NatPoly(pairs)
+        yield tuple(pairs)
 
 
 class LengthStats(NamedTuple):

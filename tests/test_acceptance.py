@@ -115,8 +115,8 @@ def test_criterion_5_forced_atom_shift():
     with criterion(5, "one forced shift of beta=3 at q=3/2: exponent 5, L = {3,4}"):
         shift = forced_atom_shift(B32, F(3), NatPoly({0: 3}), 1)
         assert shift.forced_exponents == (5,)
-        lifted = {z + NatPoly.atom(5) for z in iter_factorizations(B32, F(3), ORACLE_CAP)}
-        actual = set(iter_factorizations(B32, shift.element, ORACLE_CAP))
+        lifted = {NatPoly(z) + NatPoly.atom(5) for z in iter_factorizations(B32, F(3), ORACLE_CAP)}
+        actual = {NatPoly(z) for z in iter_factorizations(B32, shift.element, ORACLE_CAP)}
         assert actual == lifted
         assert {z.length() for z in actual} == {3, 4}
         assert length_stats(B32, shift.element).elasticity == F(4, 3)
@@ -218,8 +218,8 @@ def test_criterion_9_property_suites():
                 ups = set()
                 downs = set()
                 for z in iter_factorizations(base, x, cap=ORACLE_CAP):
-                    u = up_normal_form(base, z)
-                    d = down_normal_form(base, z)
+                    u = up_normal_form(base, NatPoly(z))
+                    d = down_normal_form(base, NatPoly(z))
                     ups.add(u)
                     downs.add(d)
                     assert up_normal_form(base, u) == u
