@@ -191,13 +191,23 @@ def _cmd_construct_elasticity(args) -> dict:
 
 
 def write_scan_csv(scan, stream: TextIO) -> None:
-    """Write an elasticity scan as CSV rows followed by its manifest row."""
+    """Write an elasticity scan as CSV rows followed by its manifest row.
+
+    Many rows share a (min_len, max_len) pair, so each pair's
+    "min,max,elasticity" text is formatted once per scan; only the value's
+    reduction runs per row.
+    """
     scale = scan.scale
+    tails = {}
     lines = ["value_num,value_den,min_len,max_len,elasticity\n"]
     for value, low, high in scan.rows:
-        g, h = math.gcd(value, scale), math.gcd(high, low)
-        ratio = str(high // h) if h == low else f"{high // h}/{low // h}"
-        lines.append(f"{value // g},{scale // g},{low},{high},{ratio}\n")
+        tail = tails.get((low, high))
+        if tail is None:
+            h = math.gcd(high, low)
+            ratio = str(high // h) if h == low else f"{high // h}/{low // h}"
+            tail = tails[low, high] = f"{low},{high},{ratio}\n"
+        g = math.gcd(value, scale)
+        lines.append(f"{value // g},{scale // g},{tail}")
     status = "complete" if scan.complete else "partial"
     lines.append(f"# manifest: {status} rows={len(scan.rows)}\n")
     stream.write("".join(lines))
@@ -335,24 +345,35 @@ COMMANDS = {
 
 
 def build_parser(only: Optional[str] = None) -> _Parser:
-    """The parser of every subcommand, or of the subcommand ``only`` alone."""
+    """The parser of ``argv[1:]`` for the subcommand ``only``, or of a whole argv.
+
+    Given a subcommand name, a standalone parser holds that subcommand's
+    arguments alone and records ``subcommand`` as a default. With no name it
+    is the whole tree: the top-level parser with every subcommand under it.
+    """
+    if only is not None:
+        parser = _Parser(prog=f"cyclofact {only}")
+        parser.set_defaults(subcommand=only)
+        for flag, spec in COMMANDS[only][2]:
+            parser.add_argument(flag, **spec)
+        return parser
     parser = _Parser(prog="cyclofact", description=__doc__.splitlines()[0])
     # Given the prog, argparse does not format a usage line to derive it.
     sub = parser.add_subparsers(dest="subcommand", required=True, prog="cyclofact")
     for name, (_, options, arguments) in COMMANDS.items():
-        if only is None or name == only:
-            p = sub.add_parser(name, **options)
-            for flag, spec in arguments:
-                p.add_argument(flag, **spec)
+        p = sub.add_parser(name, **options)
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one call (``sys.argv[1:]`` when ``argv`` is None); return its exit code.
 
-    Only the subparser that ``argv[0]`` names is built. Any other first
-    argument, or none, builds the whole tree, so the top-level help and the
-    invalid-choice message still list every subcommand.
+    When ``argv[0]`` names a subcommand, only that subcommand's standalone
+    parser is built, and it parses ``argv[1:]``. Any other first argument,
+    or none, builds the whole tree over all of ``argv``, so the top-level
+    help and the invalid-choice message still list every subcommand.
     """
     # Certificates carry integers of thousands of digits, and the documents
     # must re-parse in the calling process: the limit stays lifted.
@@ -360,7 +381,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    if argv and argv[0] in COMMANDS:
+        parser, argv = build_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.subcommand in ORACLE_CAP_READERS and args.oracle_cap is None:

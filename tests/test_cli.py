@@ -796,15 +796,21 @@ def test_single_subcommand_parser_parses_like_the_full_tree(name, capsys, monkey
         [name, *valid, "extra"],
         [name, *valid[:2], "-h"],
         [name, "--", flag],
+        [name, f"{flag}=3/2"],
+        [name, "--val", "-3"],
+        [name, "--value", "-3"],
+        [name, *valid, *valid],
+        [name, "--", *valid],
+        [name, "-"],
+        [name, *valid, "--q"],
     ]
     for argv in argvs:
-        single = parse_outcome(build_parser(name), argv, capsys)
+        # The standalone parser never sees the subcommand name in argv[0].
+        single = parse_outcome(build_parser(name), argv[1:], capsys)
         assert single == parse_outcome(build_parser(), argv, capsys), argv
-    help_outcome, help_output = parse_outcome(build_parser(name), [name, "--help"], capsys)
+    help_outcome, help_output = parse_outcome(build_parser(name), ["--help"], capsys)
     assert help_outcome == ("exit", 0)
     assert help_output.out.startswith(f"usage: cyclofact {name} [-h]")
-    with pytest.raises(CliError, match=rf"\(choose from {name!r}\)$"):
-        build_parser(name).parse_args(["no-such-command"])
 
 
 def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
@@ -815,6 +821,25 @@ def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
     assert main() == EXIT_OK
     capsys.readouterr()
     assert built == ["member", "lengths"]
+
+
+def test_parsers_built_per_call(capsys, monkeypatch):
+    # A named subcommand builds its standalone parser alone; any other first
+    # argument builds the top-level parser and one subparser per subcommand.
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, **kw: built.append(kw["prog"]) or init(self, **kw))
+    assert run_cli(capsys, "member", "--q", "3/2", "--value", "3")[0] == EXIT_OK
+    assert built == ["cyclofact member"]
+    tree = ["cyclofact", *(f"cyclofact {name}" for name in COMMANDS)]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    assert built == tree
+    built.clear()
+    assert run_cli(capsys, "bogus")[0] == EXIT_DOMAIN_ERROR
+    assert built == tree
 
 
 def test_other_first_arguments_build_the_whole_tree(capsys, monkeypatch):

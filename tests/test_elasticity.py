@@ -473,15 +473,39 @@ def scan_csv_reference(scan):
 SCAN_BOUNDS = {"3/2": "20", "5/3": "19", "7/4": "19", "5/2": "111/2", "7/5": "23/2", "8/5": "31/2"}
 
 
+def scan_of(q, bound, budget=DEFAULT_ORACLE_CAP):
+    return elasticity_scan(RationalBase.from_rational(parse_rat(q)), parse_rat(bound), budget)
+
+
+def scan_csv(scan):
+    out = io.StringIO()
+    write_scan_csv(scan, out)
+    return out.getvalue()
+
+
 def test_scan_csv_matches_the_fraction_rows():
     for q, bound in SCAN_BOUNDS.items():
-        base = RationalBase.from_rational(parse_rat(q))
         for budget in (DEFAULT_ORACLE_CAP, 100, 7):
-            scan = elasticity_scan(base, parse_rat(bound), budget)
+            scan = scan_of(q, bound, budget)
             assert scan.complete == (budget == DEFAULT_ORACLE_CAP)
-            out = io.StringIO()
-            write_scan_csv(scan, out)
-            assert out.getvalue() == scan_csv_reference(scan), (q, budget)
+            assert scan_csv(scan) == scan_csv_reference(scan), (q, budget)
+    # The empty scan.
+    empty = scan_of("3/2", "1/2")
+    assert empty.complete and not empty.rows
+    assert scan_csv(empty) == scan_csv_reference(empty)
+    # The benchmark's largest scan, where most (min_len, max_len) pairs repeat.
+    largest = scan_of("3/2", "80")
+    assert largest.complete and len(largest.rows) > 14000
+    assert len({(low, high) for _, low, high in largest.rows}) < len(largest.rows) // 20
+    assert scan_csv(largest) == scan_csv_reference(largest)
+    # A composite b: over the scale 4^4, some values reduce to a denominator
+    # that is no power of 4, and some elasticities reduce by 2 but not by 4.
+    composite = scan_of("7/4", "10")
+    assert composite.complete and composite.scale == 4**4
+    dens = {composite.scale // math.gcd(value, composite.scale) for value, _, _ in composite.rows}
+    assert dens - {4**k for k in range(5)}
+    assert any(math.gcd(low, high) % 4 == 2 for _, low, high in composite.rows)
+    assert scan_csv(composite) == scan_csv_reference(composite)
 
 
 def test_target_validation():
