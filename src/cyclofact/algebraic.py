@@ -2,8 +2,8 @@
 
 A root is designated by its (monic, degree >= 2) minimal polynomial together
 with an isolating rational interval.  Signs of polynomial expressions in the
-root are decided exactly: reduce modulo the minimal polynomial, then refine
-the isolating interval by bisection until interval arithmetic pins the sign.
+root are decided exactly: reduce with ``RatPoly.mod``, then bisect the
+isolating interval until the remainder's minimal-pair split pins the sign.
 Reduction to the zero polynomial means the expression vanishes at the root,
 so refinement only runs on expressions with a nonzero value and terminates.
 
@@ -15,8 +15,8 @@ On these signs rest the paper's two results for algebraic valuations.
 ``elasticity_lower_bound_sequence`` takes the element with the minimal
 pair's two factorizations to its n-th power, whose elasticity is at least
 the ratio of their lengths to the n-th; ``elasticity_formula`` gives the
-finitely generated case's elasticity once an atom census, exact linear
-algebra in the power basis, shows the atoms are exactly 1..root^deg.
+finitely generated case's elasticity once an atom census over powers
+reduced by ``RatPoly.mod`` shows the atoms are exactly 1..root^deg.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .minimal_pair import MinimalPair, minimal_pair
+from .minimal_pair import MinimalPair, _sign_split, minimal_pair
 from .polynomials import NatPoly, RatPoly
 from .semiring import Budget, OracleBudgetExceeded, RationalBase, length_stats
 
@@ -77,18 +77,11 @@ class AlgebraicNumber:
             self._hi = mid
 
     def _range_of(self, reduced: RatPoly) -> tuple[Fraction, Fraction]:
-        lo_b = Fraction(0)
-        hi_b = Fraction(0)
-        for deg, coeff in reduced.terms.items():
-            mlo = self._lo**deg
-            mhi = self._hi**deg
-            if coeff > 0:
-                lo_b += coeff * mlo
-                hi_b += coeff * mhi
-            else:
-                lo_b += coeff * mhi
-                hi_b += coeff * mlo
-        return lo_b, hi_b
+        """Bounds of reduced on the interval: with ell*reduced = p - q0, both
+        p and q0 rise on [lo, hi] (nonnegative coefficients, lo >= 0)."""
+        ell, p, q0 = _sign_split(reduced)
+        lo, hi = self._lo, self._hi
+        return (p.eval(lo) - q0.eval(hi)) / ell, (p.eval(hi) - q0.eval(lo)) / ell
 
     def sign_of(self, expr: RatPoly) -> int:
         """Exact sign of expr evaluated at the root: -1, 0 or +1."""
@@ -107,35 +100,9 @@ class AlgebraicNumber:
             "really the minimal polynomial of the root?"
         )
 
-    def sign_of_coords(self, coords: Sequence[Fraction]) -> int:
-        """Sign of sum(coords[i] * root^i) for coordinates in the power basis."""
-        return self.sign_of(RatPoly({i: c for i, c in enumerate(coords) if c}))
-
     def compare(self, value: Fraction) -> int:
         """Sign of (root - value)."""
         return self.sign_of(RatPoly({1: Fraction(1), 0: -Fraction(value)}))
-
-
-def power_coordinates(minpoly: RatPoly, kmax: int) -> list[tuple[Fraction, ...]]:
-    """Coordinates of root^k, k = 0..kmax, in the power basis 1..root^(n-1).
-
-    Iterated multiply-by-X with the top coefficient folded back through
-    X^n = -(lower part of the minimal polynomial); all exact.
-    """
-    if not minpoly.is_monic():
-        raise ValueError("minimal polynomial must be monic")
-    n = minpoly.degree()
-    fold = [-minpoly.coeff(i) for i in range(n)]
-    vec = [Fraction(0)] * n
-    vec[0] = Fraction(1)
-    out = [tuple(vec)]
-    for _ in range(kmax):
-        top = vec[n - 1]
-        vec = [Fraction(0)] + vec[:-1]
-        if top:
-            vec = [v + top * f for v, f in zip(vec, fold)]
-        out.append(tuple(vec))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +135,8 @@ def elasticity_lower_bound_sequence(
     lp, lq = pair.p.length(), pair.q0.length()
     if lp == lq:
         raise ValueError("1 is a root; minimal pair degenerate")
+    if not (lp and lq):
+        raise ValueError("a side of the minimal pair is empty: no positive root")
     low, high = (pair.p, pair.q0) if lp < lq else (pair.q0, pair.p)
     presentation = low**n
     bound = Fraction(high.length(), low.length()) ** n
@@ -206,35 +175,34 @@ class FormulaResult(NamedTuple):
 
 def _decomposes(
     alpha: AlgebraicNumber,
-    coords: Sequence[tuple[Fraction, ...]],
+    powers: Sequence[RatPoly],
     k: int,
     budget: Budget,
 ) -> bool:
     """Does root^k equal a nonnegative-integer combination of lower powers?
 
-    Searches coefficients for degrees k-1 down to n (depth-first, residual
-    kept as exact power-basis coordinates, pruned by sign), then demands the
-    remaining residual be a nonnegative integer vector, i.e. a combination
-    of 1..root^(n-1).  Each search node costs one unit of the budget.
+    powers[i] is X^i reduced modulo the minimal polynomial (degree n).
+    Searches coefficients for degrees k-1 down to n (depth-first, residual a
+    RatPoly of degree < n, pruned by its sign at the root), then demands its
+    stored coefficients be nonnegative integers at the leaf, i.e. a
+    combination of 1..root^(n-1).  Each search node costs one budget unit.
     """
-    n = len(coords[0])
-    uppers = list(range(k - 1, n - 1, -1))
+    uppers = list(range(k - 1, alpha.minpoly.degree() - 1, -1))
 
-    def rec(idx: int, residual: tuple[Fraction, ...]) -> bool:
+    def rec(idx: int, residual: RatPoly) -> bool:
         budget.spend()
         if idx == len(uppers):
-            return all(c >= 0 and c.denominator == 1 for c in residual)
-        i = uppers[idx]
-        step = coords[i]
+            return all(c >= 0 and c.denominator == 1 for _, c in residual.items())
+        step = powers[uppers[idx]]
         current = residual
         while True:
             if rec(idx + 1, current):
                 return True
-            current = tuple(r - s for r, s in zip(current, step))
-            if alpha.sign_of_coords(current) < 0:
+            current -= step
+            if alpha.sign_of(current) < 0:
                 return False
 
-    return rec(0, coords[k])
+    return rec(0, powers[k])
 
 
 def elasticity_formula(
@@ -246,8 +214,8 @@ def elasticity_formula(
 
     The formula max{p(1)/q0(1), q0(1)/p(1)} requires the atom set to be
     exactly {1, root, ..., root^deg}.  The census decides, for each power up
-    to atom_budget, whether it decomposes into lower powers (exact linear
-    algebra in the power basis).  Decomposability of root^(deg+1) propagates
+    to atom_budget, whether it decomposes into lower powers (exact arithmetic
+    modulo the minimal polynomial).  Decomposability of root^(deg+1) propagates
     to all higher powers, so a census that finds atoms exactly at 0..deg is
     conclusive.  Outcomes other than a verified hypothesis are reported as
     inapplicable (with the refuting evidence) or inconclusive (the search
@@ -272,13 +240,13 @@ def elasticity_formula(
             (),
             (),
         )
-    coords = power_coordinates(minpoly, atom_budget)
+    powers = [RatPoly({k: 1}).mod(minpoly) for k in range(atom_budget + 1)]
     budget = Budget(NODE_BUDGET)
     atoms = list(range(n))
     decomposed: list[int] = []
     for k in range(n, atom_budget + 1):
         try:
-            verdict = _decomposes(alpha, coords, k, budget)
+            verdict = _decomposes(alpha, powers, k, budget)
         except OracleBudgetExceeded:
             return FormulaResult(
                 "inconclusive",

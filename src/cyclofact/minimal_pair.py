@@ -27,21 +27,14 @@ class MinimalPair(NamedTuple):
     q0: NatPoly
 
 
-def minimal_pair(f: RatPoly) -> MinimalPair:
-    """Minimal pair of a monic nonzero polynomial with rational coefficients.
-
-    Raises ValueError for non-monic input; the rest is forced: ell is the
-    lcm of the coefficient denominators, positive coefficients of ell*f go
-    to p and negated negative ones to q0.
-    """
-    if f.is_zero:
-        raise ValueError("minimal pair undefined for the zero polynomial")
-    if not f.is_monic():
-        raise ValueError("minimal pair defined for monic polynomials")
+def _sign_split(f: RatPoly) -> tuple[int, NatPoly, NatPoly]:
+    """(ell, p, q0) with ell*f = p - q0: ell is the lcm of the coefficient
+    denominators, positive coefficients of ell*f go to p and negated
+    negative ones to q0."""
     ell = f.denominator_lcm()
     p_terms: dict[int, int] = {}
     q_terms: dict[int, int] = {}
-    for deg, coeff in f.terms.items():
+    for deg, coeff in f.items():
         scaled = coeff * ell
         assert scaled.denominator == 1
         c = scaled.numerator
@@ -49,7 +42,20 @@ def minimal_pair(f: RatPoly) -> MinimalPair:
             p_terms[deg] = c
         elif c < 0:
             q_terms[deg] = -c
-    return MinimalPair(ell=ell, p=NatPoly(p_terms), q0=NatPoly(q_terms))
+    return ell, NatPoly(p_terms), NatPoly(q_terms)
+
+
+def minimal_pair(f: RatPoly) -> MinimalPair:
+    """Minimal pair of a monic nonzero polynomial with rational coefficients.
+
+    Raises ValueError for non-monic input; the rest is forced: the pair is
+    the split of f by coefficient sign.
+    """
+    if f.is_zero:
+        raise ValueError("minimal pair undefined for the zero polynomial")
+    if not f.is_monic():
+        raise ValueError("minimal pair defined for monic polynomials")
+    return MinimalPair(*_sign_split(f))
 
 
 def minimal_pair_of_rational(q: Fraction) -> MinimalPair:

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from cyclofact.algebraic import (
     AlgebraicNumber,
@@ -8,10 +10,9 @@ from cyclofact.algebraic import (
     LowerBoundStep,
     elasticity_formula,
     elasticity_lower_bound_sequence,
-    power_coordinates,
 )
 from cyclofact.minimal_pair import minimal_pair_of_rational
-from cyclofact.polynomials import NatPoly, parse_polynomial
+from cyclofact.polynomials import NatPoly, RatPoly, parse_polynomial
 from cyclofact.semiring import Budget
 
 
@@ -29,16 +30,15 @@ def test_sign_of_reduces_modulo_minpoly():
     # alpha^2 = 3 alpha - 1, so X^2 - 3X + 1 has sign 0 and
     # X^3 - 8X + 3 = (X)(X^2-3X+1) + 3X^2 - 9X + 3 also vanishes
     assert alpha.sign_of(parse_polynomial("X^3 - 8X + 3")) == 0
-    assert alpha.sign_of_coords((F(-3), F(1))) < 0  # alpha < 3
+    assert alpha.sign_of(parse_polynomial("X - 3")) < 0  # alpha < 3
 
 
 def test_cbrt2_power_coordinates():
     m = parse_polynomial("X^3 - 2")
-    coords = power_coordinates(m, 6)
-    assert coords[0] == (F(1), F(0), F(0))
-    assert coords[3] == (F(2), F(0), F(0))      # alpha^3 = 2
-    assert coords[4] == (F(0), F(2), F(0))      # alpha^4 = 2 alpha
-    assert coords[6] == (F(4), F(0), F(0))      # alpha^6 = 4
+    assert RatPoly({0: 1}).mod(m) == RatPoly({0: 1})
+    assert RatPoly({3: 1}).mod(m) == RatPoly({0: 2})  # alpha^3 = 2
+    assert RatPoly({4: 1}).mod(m) == RatPoly({1: 2})  # alpha^4 = 2 alpha
+    assert RatPoly({6: 1}).mod(m) == RatPoly({0: 4})  # alpha^6 = 4
 
 
 def test_invalid_intervals_rejected():
@@ -51,6 +51,32 @@ def test_invalid_intervals_rejected():
         AlgebraicNumber(parse_polynomial("2X^2 - 1"), F(0), F(1))  # not monic
     with pytest.raises(ValueError):
         AlgebraicNumber(parse_polynomial("X - 2"), F(1), F(3))     # degree 1
+
+
+def per_term_range(reduced, lo, hi):
+    """Reference: bound each term by the endpoint its sign favours."""
+    lo_b = hi_b = F(0)
+    for deg, coeff in reduced.terms.items():
+        if coeff > 0:
+            lo_b += coeff * lo**deg
+            hi_b += coeff * hi**deg
+        else:
+            lo_b += coeff * hi**deg
+            hi_b += coeff * lo**deg
+    return lo_b, hi_b
+
+
+coeffs = st.fractions(min_value=F(-20), max_value=F(20), max_denominator=24)
+endpoints = st.fractions(min_value=F(0), max_value=F(5), max_denominator=64)
+
+
+@given(st.dictionaries(st.integers(0, 6), coeffs, max_size=6), endpoints, endpoints)
+def test_range_of_equals_the_per_term_bounds(terms, a, b):
+    alpha = AlgebraicNumber(parse_polynomial("X^2 - 2"), F(1), F(2))
+    # _range_of reads only the interval, which need not isolate a root here
+    alpha._lo, alpha._hi = min(a, b), max(a, b)
+    reduced = RatPoly(terms)
+    assert alpha._range_of(reduced) == per_term_range(reduced, alpha._lo, alpha._hi)
 
 
 def test_interval_refinement_shrinks():

@@ -20,7 +20,7 @@ from cyclofact.elasticity import (
     forced_atom_shift,
     monoid_elements_up_to,
 )
-from cyclofact.minimal_pair import minimal_pair_of_rational
+from cyclofact.minimal_pair import minimal_pair, minimal_pair_of_rational
 from cyclofact.polynomials import NatPoly, parse_polynomial
 from cyclofact.rationals import format_rat, parse_rat
 from cyclofact.semiring import (
@@ -71,6 +71,12 @@ class TestLowerBoundSequence:
         pair = minimal_pair_of_rational(F(1))  # X - 1: p(1) = q0(1) = 1
         with pytest.raises(ValueError):
             elasticity_lower_bound_sequence(pair, F(1), 1)
+        # no negative coefficient, so q0 is empty and no positive root exists
+        for text in ("X + 1", "X^2 + 3X + 2"):
+            pair = minimal_pair(parse_polynomial(text))
+            for alpha in (None, F(3, 2), F(2)):
+                with pytest.raises(ValueError, match="empty"):
+                    elasticity_lower_bound_sequence(pair, alpha, 2)
 
     def test_bound_holds_for_several_bases(self):
         for q in (F(3, 2), F(5, 3), F(5, 2), F(7, 4)):

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from cyclofact.minimal_pair import minimal_pair, minimal_pair_of_rational
+from cyclofact.minimal_pair import _sign_split, minimal_pair, minimal_pair_of_rational
 from cyclofact.polynomials import NatPoly, RatPoly, parse_polynomial
 
 
@@ -52,14 +53,19 @@ monic_polys = st.builds(
 )
 
 
-@given(monic_polys)
+# not monic, not integral, or zero: the split is defined all the same
+any_polys = st.dictionaries(st.integers(0, 6), coeffs, max_size=6).map(RatPoly)
+
+
+@given(st.one_of(monic_polys, any_polys))
 def test_split_reconstructs_and_supports_disjoint(f):
-    pair = minimal_pair(f)
-    assert RatPoly(pair.p.terms) - RatPoly(pair.q0.terms) == scaled(f, pair.ell)
-    if not pair.p.is_zero and not pair.q0.is_zero:
-        assert set(pair.p.terms).isdisjoint(pair.q0.terms)
+    ell, p, q0 = _sign_split(f)
+    assert RatPoly(p.terms) - RatPoly(q0.terms) == scaled(f, ell)
+    assert set(p.terms).isdisjoint(q0.terms)
     # ell is minimal: the lcm of the coefficient denominators
-    assert pair.ell == f.denominator_lcm()
+    assert ell == math.lcm(*(c.denominator for c in f.terms.values()))
+    if f.is_monic():
+        assert minimal_pair(f) == (ell, p, q0)
 
 
 @given(monic_polys)
