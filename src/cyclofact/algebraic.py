@@ -126,9 +126,10 @@ def elasticity_lower_bound_sequence(
     """The n-th power of the element with factorizations p and q0.
 
     p(alpha) = q0(alpha) is one element with factorization lengths p(1) and
-    q0(1); its n-th power has elasticity at least (larger/smaller)**n.  When
-    alpha is a non-integer rational > 1 the exact elasticity is computed for
-    comparison; otherwise only the bound is returned.
+    q0(1); its n-th power has elasticity at least (larger/smaller)**n.  A
+    given alpha must be a root of the pair.  When alpha is a non-integer
+    rational > 1 the exact elasticity is computed for comparison; otherwise
+    only the bound is returned.
     """
     if n < 1:
         raise ValueError("power n must be positive")
@@ -144,6 +145,8 @@ def elasticity_lower_bound_sequence(
     exact = None
     if alpha is not None:
         alpha = Fraction(alpha)
+        if pair.p.eval(alpha) != pair.q0.eval(alpha):
+            raise ValueError(f"alpha = {alpha} is not a root of the minimal pair")
         element = presentation.eval(alpha)
         if alpha > 1 and alpha.denominator > 1:
             base = RationalBase.from_rational(alpha)

@@ -350,6 +350,8 @@ def build_parser(only: Optional[str] = None) -> _Parser:
     Given a subcommand name, a standalone parser holds that subcommand's
     arguments alone and records ``subcommand`` as a default. With no name it
     is the whole tree: the top-level parser with every subcommand under it.
+    ``main`` builds one only for help, usage errors and spellings that
+    ``_parse_exact`` leaves to argparse.
     """
     if only is not None:
         parser = _Parser(prog=f"cyclofact {only}")
@@ -367,11 +369,49 @@ def build_parser(only: Optional[str] = None) -> _Parser:
     return parser
 
 
+def _parse_exact(name: str, argv: list[str]) -> Optional[argparse.Namespace]:
+    """What ``build_parser(name).parse_args(argv)`` returns, or None if unsure.
+
+    A plain argv is read off the subcommand's rows in ``COMMANDS``: exact
+    option strings, each valued one followed by a value that does not start
+    with "-", and minimal-pair's positional only as the sole token. Any other
+    spelling, a value its type rejects or a missing required option gives
+    None, and argparse then parses (or reports) the argv.
+    """
+    rows = COMMANDS[name][2]
+    specs = {flag: spec for flag, spec in rows if flag.startswith("-")}
+    values = {flag: spec.get("default", False if "action" in spec else None) for flag, spec in rows}
+    if name == "minimal-pair" and len(argv) == 1 and not argv[0].startswith("-"):
+        values["polynomial"] = argv[0]
+        argv = []
+    tokens = iter(argv)
+    for flag in tokens:
+        spec = specs.get(flag)
+        if spec is None:
+            return None
+        if "action" in spec:  # store_true
+            values[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value is argparse's to report
+        if text.startswith("-"):
+            return None
+        try:
+            values[flag] = spec.get("type", str)(text)  # each occurrence, as argparse does
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+    if any(spec.get("required") and values[flag] is None for flag, spec in specs.items()):
+        return None
+    args = {flag.lstrip("-").replace("-", "_"): value for flag, value in values.items()}
+    return argparse.Namespace(**args, subcommand=name)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one call (``sys.argv[1:]`` when ``argv`` is None); return its exit code.
 
-    When ``argv[0]`` names a subcommand, only that subcommand's standalone
-    parser is built, and it parses ``argv[1:]``. Any other first argument,
+    When ``argv[0]`` names a subcommand, a plain ``argv[1:]`` is parsed off
+    ``COMMANDS`` (see ``_parse_exact``) and builds no parser. Otherwise that
+    subcommand's standalone parser alone is built, and argparse handles its
+    help, its usage errors and every other spelling. Any other first argument,
     or none, builds the whole tree over all of ``argv``, so the top-level
     help and the invalid-choice message still list every subcommand.
     """
@@ -381,12 +421,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in COMMANDS:
-        parser, argv = build_parser(argv[0]), argv[1:]
-    else:
-        parser = build_parser()
+    name = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = _parse_exact(name, argv[1:]) if name else None
+        if args is None:
+            args = build_parser(name).parse_args(argv[1:] if name else argv)
         if args.subcommand in ORACLE_CAP_READERS and args.oracle_cap is None:
             args.oracle_cap = _default_oracle_cap()
         doc = COMMANDS[args.subcommand][0](args)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 import cyclofact.cli as cli
 from cyclofact.cli import COMMANDS, EXIT_BUDGET, EXIT_DOMAIN_ERROR, EXIT_OK, CliError, build_parser, main
@@ -25,7 +25,11 @@ from cyclofact.semiring import RationalBase, length_stats
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """main(argv)'s exit code, or ("exit", code) for a SystemExit, and its output."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -781,8 +785,19 @@ def parse_outcome(parser, argv, capsys):
     return outcome, capsys.readouterr()
 
 
+# argvs that _parse_exact leaves to argparse: help, a usage error, an `=` spelling
+FALLBACK_ARGVS = [["member", "--help"], ["member", "--q", "3/2"], ["member", "--q=3/2", "--value", "3"]]
+
+
+def run_via_argparse(capsys, monkeypatch, *argv):
+    """run_cli(argv) with every argv left to argparse."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse_exact", lambda name, argv: None)
+        return run_cli(capsys, *argv)
+
+
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_single_subcommand_parser_parses_like_the_full_tree(name, capsys, monkeypatch):
+def test_single_subcommand_parser_parses_like_the_full_tree(name, capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")
     flag = next(flag for flag, _ in COMMANDS[name][2] if flag.startswith("--"))  # a rational flag
     valid = VALID_ARGV[name]
@@ -804,13 +819,54 @@ def test_single_subcommand_parser_parses_like_the_full_tree(name, capsys, monkey
         [name, "-"],
         [name, *valid, "--q"],
     ]
+    monkeypatch.chdir(tmp_path)  # elasticity-scan's valid argv writes --out
     for argv in argvs:
         # The standalone parser never sees the subcommand name in argv[0].
         single = parse_outcome(build_parser(name), argv[1:], capsys)
         assert single == parse_outcome(build_parser(), argv, capsys), argv
+        assert run_cli(capsys, *argv) == run_via_argparse(capsys, monkeypatch, *argv), argv
+    assert cli._parse_exact(name, valid) is not None
     help_outcome, help_output = parse_outcome(build_parser(name), ["--help"], capsys)
     assert help_outcome == ("exit", 0)
     assert help_output.out.startswith(f"usage: cyclofact {name} [-h]")
+
+
+def option_tokens(name):
+    """The valued options of `name`, and each option string, abbreviation and `=` spelling."""
+    flags = [flag for flag, _ in COMMANDS[name][2] if flag.startswith("--")]
+    valued = [flag for flag, spec in COMMANDS[name][2] if flag in flags and "action" not in spec]
+    prefixes = [flag[:k] for flag in flags for k in range(3, len(flag))]
+    return valued, [*flags, *prefixes, *(f"{flag}={v}" for flag in flags for v in ("3/2", "-3", ""))]
+
+
+ODD_TOKENS = ["--", "-", "-h"]
+VALUE_TOKENS = ["3/2", "9", "2/3", "13/4", "0", "7", "-3", "-3/2", "", "x/y", "3/0", "X^2 - 3X + 1"]
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+@given(data=st.data())
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # the fixtures hold no per-example state
+)
+def test_exact_parse_agrees_with_argparse(name, data, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # elasticity-scan's --out writes here
+    valued, options = option_tokens(name)
+    value = st.one_of(st.sampled_from(["9", "7"]), st.sampled_from(VALUE_TOKENS))  # 9 and 7 pass every type
+    pair = st.tuples(st.sampled_from(valued), value).map(list)
+    # Every valued option in a drawn order, the first maybe dropped and one
+    # maybe repeated, with up to two other tokens put in anywhere.
+    chunks = [[flag, data.draw(value)] for flag in data.draw(st.permutations(valued))]
+    chunks = chunks[data.draw(st.integers(0, 1)) :] + data.draw(st.lists(pair, max_size=1))
+    for token in data.draw(st.lists(st.sampled_from(options + ODD_TOKENS + VALUE_TOKENS), max_size=2)):
+        chunks.insert(data.draw(st.integers(0, len(chunks))), [token])
+    argv = sum(chunks, [])
+    exact = cli._parse_exact(name, argv)
+    if exact is not None:
+        assert vars(exact) == vars(build_parser(name).parse_args(argv)), argv
+    assert run_cli(capsys, name, *argv) == run_via_argparse(capsys, monkeypatch, name, *argv), argv
 
 
 def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
@@ -820,17 +876,25 @@ def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["cyclofact", "lengths", "--q", "3/2", "--value", "9"])
     assert main() == EXIT_OK
     capsys.readouterr()
-    assert built == ["member", "lengths"]
+    assert built == []  # a plain argv is parsed off COMMANDS
+    for argv in FALLBACK_ARGVS:
+        run_cli(capsys, *argv)
+        assert built == ["member"], argv
+        built.clear()
 
 
 def test_parsers_built_per_call(capsys, monkeypatch):
-    # A named subcommand builds its standalone parser alone; any other first
-    # argument builds the top-level parser and one subparser per subcommand.
+    # A plain argv builds no parser; a named subcommand that argparse must
+    # parse builds its standalone parser alone; any other first argument
+    # builds the top-level parser and one subparser per subcommand.
     built = []
     init = cli._Parser.__init__
     monkeypatch.setattr(cli._Parser, "__init__", lambda self, **kw: built.append(kw["prog"]) or init(self, **kw))
     assert run_cli(capsys, "member", "--q", "3/2", "--value", "3")[0] == EXIT_OK
-    assert built == ["cyclofact member"]
+    assert built == []
+    codes = [run_cli(capsys, *argv)[0] for argv in FALLBACK_ARGVS]
+    assert codes == [("exit", 0), EXIT_DOMAIN_ERROR, EXIT_OK]
+    assert built == ["cyclofact member"] * 3
     tree = ["cyclofact", *(f"cyclofact {name}" for name in COMMANDS)]
     built.clear()
     with pytest.raises(SystemExit):

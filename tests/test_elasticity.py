@@ -77,6 +77,10 @@ class TestLowerBoundSequence:
             for alpha in (None, F(3, 2), F(2)):
                 with pytest.raises(ValueError, match="empty"):
                     elasticity_lower_bound_sequence(pair, alpha, 2)
+        # alpha = 5/3 is no root of 3/2's pair: p(5/3) = 10/3 but q0(5/3) = 3,
+        # and the bound 9/4 would pass the exact elasticity 2 unnoticed.
+        with pytest.raises(ValueError, match="not a root"):
+            elasticity_lower_bound_sequence(minimal_pair_of_rational(F(3, 2)), F(5, 3), 2)
 
     def test_bound_holds_for_several_bases(self):
         for q in (F(3, 2), F(5, 3), F(5, 2), F(7, 4)):
