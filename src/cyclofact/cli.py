@@ -344,21 +344,12 @@ COMMANDS = {
 }
 
 
-def build_parser(only: Optional[str] = None) -> _Parser:
-    """The parser of ``argv[1:]`` for the subcommand ``only``, or of a whole argv.
+def build_parser() -> _Parser:
+    """The whole tree: the top-level parser with every subcommand under it.
 
-    Given a subcommand name, a standalone parser holds that subcommand's
-    arguments alone and records ``subcommand`` as a default. With no name it
-    is the whole tree: the top-level parser with every subcommand under it.
-    ``main`` builds one only for help, usage errors and spellings that
-    ``_parse_exact`` leaves to argparse.
+    ``main`` builds it only for an argv that ``_parse_exact`` leaves to
+    argparse: help, usage errors and any other spelling.
     """
-    if only is not None:
-        parser = _Parser(prog=f"cyclofact {only}")
-        parser.set_defaults(subcommand=only)
-        for flag, spec in COMMANDS[only][2]:
-            parser.add_argument(flag, **spec)
-        return parser
     parser = _Parser(prog="cyclofact", description=__doc__.splitlines()[0])
     # Given the prog, argparse does not format a usage line to derive it.
     sub = parser.add_subparsers(dest="subcommand", required=True, prog="cyclofact")
@@ -370,31 +361,34 @@ def build_parser(only: Optional[str] = None) -> _Parser:
 
 
 def _parse_exact(name: str, argv: list[str]) -> Optional[argparse.Namespace]:
-    """What ``build_parser(name).parse_args(argv)`` returns, or None if unsure.
+    """What ``build_parser().parse_args([name, *argv])`` returns, or None if unsure.
 
     A plain argv is read off the subcommand's rows in ``COMMANDS``: exact
     option strings, each valued one followed by a value that does not start
-    with "-", and minimal-pair's positional only as the sole token. Any other
-    spelling, a value its type rejects or a missing required option gives
-    None, and argparse then parses (or reports) the argv.
+    with "-" or joined by "=" to any value, and a positional only as the sole
+    token. Anything else, a value its type rejects or a missing required
+    option gives None, and argparse then parses (or reports) the argv.
     """
     rows = COMMANDS[name][2]
     specs = {flag: spec for flag, spec in rows if flag.startswith("-")}
     values = {flag: spec.get("default", False if "action" in spec else None) for flag, spec in rows}
-    if name == "minimal-pair" and len(argv) == 1 and not argv[0].startswith("-"):
-        values["polynomial"] = argv[0]
+    positional = values.keys() - specs.keys()
+    if positional and len(argv) == 1 and not argv[0].startswith("-"):
+        values[positional.pop()] = argv[0]
         argv = []
     tokens = iter(argv)
-    for flag in tokens:
+    for token in tokens:
+        flag, joined, text = token.partition("=")
         spec = specs.get(flag)
-        if spec is None:
+        if spec is None or joined and "action" in spec:  # argparse reports a store_true given a value
             return None
         if "action" in spec:  # store_true
             values[flag] = True
             continue
-        text = next(tokens, "-")  # a missing value is argparse's to report
-        if text.startswith("-"):
-            return None
+        if not joined:
+            text = next(tokens, "-")  # a missing value is argparse's to report
+            if text.startswith("-"):
+                return None
         try:
             values[flag] = spec.get("type", str)(text)  # each occurrence, as argparse does
         except (argparse.ArgumentTypeError, TypeError, ValueError):
@@ -408,12 +402,9 @@ def _parse_exact(name: str, argv: list[str]) -> Optional[argparse.Namespace]:
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one call (``sys.argv[1:]`` when ``argv`` is None); return its exit code.
 
-    When ``argv[0]`` names a subcommand, a plain ``argv[1:]`` is parsed off
-    ``COMMANDS`` (see ``_parse_exact``) and builds no parser. Otherwise that
-    subcommand's standalone parser alone is built, and argparse handles its
-    help, its usage errors and every other spelling. Any other first argument,
-    or none, builds the whole tree over all of ``argv``, so the top-level
-    help and the invalid-choice message still list every subcommand.
+    When ``argv[0]`` names a subcommand and the rest is plain (see
+    ``_parse_exact``), no parser is built. Any other argv builds the whole
+    tree, so argparse writes every help text and usage error.
     """
     # Certificates carry integers of thousands of digits, and the documents
     # must re-parse in the calling process: the limit stays lifted.
@@ -421,11 +412,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     if argv is None:
         argv = sys.argv[1:]
-    name = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = _parse_exact(name, argv[1:]) if name else None
+        args = _parse_exact(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
         if args is None:
-            args = build_parser(name).parse_args(argv[1:] if name else argv)
+            args = build_parser().parse_args(argv)
         if args.subcommand in ORACLE_CAP_READERS and args.oracle_cap is None:
             args.oracle_cap = _default_oracle_cap()
         doc = COMMANDS[args.subcommand][0](args)

@@ -774,19 +774,14 @@ VALID_ARGV = {
 }
 
 
-def parse_outcome(parser, argv, capsys):
-    """The Namespace, CliError message or help exit of one parse, with its output."""
-    try:
-        outcome = ("namespace", vars(parser.parse_args(argv)))
-    except CliError as exc:
-        outcome = ("error", str(exc))
-    except SystemExit as exc:
-        outcome = ("exit", exc.code)
-    return outcome, capsys.readouterr()
-
-
-# argvs that _parse_exact leaves to argparse: help, a usage error, an `=` spelling
-FALLBACK_ARGVS = [["member", "--help"], ["member", "--q", "3/2"], ["member", "--q=3/2", "--value", "3"]]
+# argvs that _parse_exact leaves to argparse: help, a usage error, an
+# abbreviation, a store_true option given a value
+FALLBACK_ARGVS = [
+    ["member", "--help"],
+    ["member", "--q", "3/2"],
+    ["member", "--val", "3", "--q", "3/2"],
+    ["factorize", "--q", "3/2", "--value", "9", "--enumerate=1"],
+]
 
 
 def run_via_argparse(capsys, monkeypatch, *argv):
@@ -821,14 +816,11 @@ def test_single_subcommand_parser_parses_like_the_full_tree(name, capsys, monkey
     ]
     monkeypatch.chdir(tmp_path)  # elasticity-scan's valid argv writes --out
     for argv in argvs:
-        # The standalone parser never sees the subcommand name in argv[0].
-        single = parse_outcome(build_parser(name), argv[1:], capsys)
-        assert single == parse_outcome(build_parser(), argv, capsys), argv
         assert run_cli(capsys, *argv) == run_via_argparse(capsys, monkeypatch, *argv), argv
     assert cli._parse_exact(name, valid) is not None
-    help_outcome, help_output = parse_outcome(build_parser(name), ["--help"], capsys)
-    assert help_outcome == ("exit", 0)
-    assert help_output.out.startswith(f"usage: cyclofact {name} [-h]")
+    code, out, _ = run_cli(capsys, name, "--help")
+    assert code == ("exit", 0)
+    assert out.startswith(f"usage: cyclofact {name} [-h]")
 
 
 def option_tokens(name):
@@ -855,55 +847,61 @@ def test_exact_parse_agrees_with_argparse(name, data, capsys, monkeypatch, tmp_p
     monkeypatch.chdir(tmp_path)  # elasticity-scan's --out writes here
     valued, options = option_tokens(name)
     value = st.one_of(st.sampled_from(["9", "7"]), st.sampled_from(VALUE_TOKENS))  # 9 and 7 pass every type
-    pair = st.tuples(st.sampled_from(valued), value).map(list)
+
+    def spelled(flag):  # flag and a drawn value, as two tokens or joined by "="
+        return st.builds(lambda text, joined: [f"{flag}={text}"] if joined else [flag, text], value, st.booleans())
+
     # Every valued option in a drawn order, the first maybe dropped and one
     # maybe repeated, with up to two other tokens put in anywhere.
-    chunks = [[flag, data.draw(value)] for flag in data.draw(st.permutations(valued))]
-    chunks = chunks[data.draw(st.integers(0, 1)) :] + data.draw(st.lists(pair, max_size=1))
+    chunks = [data.draw(spelled(flag)) for flag in data.draw(st.permutations(valued))]
+    repeat = data.draw(st.lists(st.sampled_from(valued).flatmap(spelled), max_size=1))
+    chunks = chunks[data.draw(st.integers(0, 1)) :] + repeat
     for token in data.draw(st.lists(st.sampled_from(options + ODD_TOKENS + VALUE_TOKENS), max_size=2)):
         chunks.insert(data.draw(st.integers(0, len(chunks))), [token])
     argv = sum(chunks, [])
     exact = cli._parse_exact(name, argv)
     if exact is not None:
-        assert vars(exact) == vars(build_parser(name).parse_args(argv)), argv
+        assert vars(exact) == vars(build_parser().parse_args([name, *argv])), argv
     assert run_cli(capsys, name, *argv) == run_via_argparse(capsys, monkeypatch, name, *argv), argv
 
 
-def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
-    built = []
-    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or build_parser(only))
-    assert run_cli(capsys, "member", "--q", "3/2", "--value", "3")[0] == EXIT_OK
-    monkeypatch.setattr(sys, "argv", ["cyclofact", "lengths", "--q", "3/2", "--value", "9"])
-    assert main() == EXIT_OK
-    capsys.readouterr()
-    assert built == []  # a plain argv is parsed off COMMANDS
-    for argv in FALLBACK_ARGVS:
-        run_cli(capsys, *argv)
-        assert built == ["member"], argv
-        built.clear()
-
-
-def test_parsers_built_per_call(capsys, monkeypatch):
-    # A plain argv builds no parser; a named subcommand that argparse must
-    # parse builds its standalone parser alone; any other first argument
-    # builds the top-level parser and one subparser per subcommand.
+def count_parsers(monkeypatch):
+    """The prog of each _Parser built from here on, in order."""
     built = []
     init = cli._Parser.__init__
     monkeypatch.setattr(cli._Parser, "__init__", lambda self, **kw: built.append(kw["prog"]) or init(self, **kw))
-    assert run_cli(capsys, "member", "--q", "3/2", "--value", "3")[0] == EXIT_OK
-    assert built == []
-    codes = [run_cli(capsys, *argv)[0] for argv in FALLBACK_ARGVS]
-    assert codes == [("exit", 0), EXIT_DOMAIN_ERROR, EXIT_OK]
-    assert built == ["cyclofact member"] * 3
-    tree = ["cyclofact", *(f"cyclofact {name}" for name in COMMANDS)]
-    built.clear()
-    with pytest.raises(SystemExit):
-        main(["--help"])
+    return built
+
+
+def test_parsers_built_per_call(capsys, monkeypatch):
+    # A plain argv, `=` spellings included, builds no parser; any other argv
+    # builds the whole tree once: the top-level parser and one subparser per
+    # subcommand.
+    built = count_parsers(monkeypatch)
+    plain = run_cli(capsys, "member", "--q", "3/2", "--value", "3")
+    assert plain[0] == EXIT_OK
+    assert run_cli(capsys, "member", "--q=3/2", "--value=3") == plain
+    # A joined value may start with "-"; here it is the handler that rejects it.
+    assert run_cli(capsys, "member", "--q=3/2", "--value=-3")[0] == EXIT_DOMAIN_ERROR
+    assert run_cli(capsys, "minimal-pair", "X^2 - 3X + 1")[0] == EXIT_OK
+    monkeypatch.setattr(sys, "argv", ["cyclofact", "lengths", "--q=3/2", "--value", "9"])
+    assert main() == EXIT_OK
     capsys.readouterr()
-    assert built == tree
-    built.clear()
-    assert run_cli(capsys, "bogus")[0] == EXIT_DOMAIN_ERROR
-    assert built == tree
+    assert built == []
+    tree = ["cyclofact", *(f"cyclofact {name}" for name in COMMANDS)]
+    codes = [("exit", 0), EXIT_DOMAIN_ERROR, EXIT_OK, EXIT_DOMAIN_ERROR, ("exit", 0), EXIT_DOMAIN_ERROR]
+    for argv, code in zip([*FALLBACK_ARGVS, ["--help"], ["bogus"]], codes):
+        assert run_cli(capsys, *argv)[0] == code, argv
+        assert built == tree, argv
+        built.clear()
+
+
+def test_scripts_build_no_parser(capsys, monkeypatch):
+    # Every call the scripts make is plain, spelled --flag=value.
+    built = count_parsers(monkeypatch)
+    assert run_script(capsys, monkeypatch, "full_elasticity_grid.py", "--smax", "3")[0] == EXIT_OK
+    assert run_script(capsys, monkeypatch, "density_scan.py", "--q", "3/2", "--bound", "6")[0] == EXIT_OK
+    assert built == []
 
 
 def test_other_first_arguments_build_the_whole_tree(capsys, monkeypatch):
@@ -922,7 +920,7 @@ def test_other_first_arguments_build_the_whole_tree(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "bogus")
     assert code == EXIT_DOMAIN_ERROR
     assert json.loads(err)["error"]["message"].endswith(choose_from)
-    # The bench setup timer builds the parser with no argument: all of it.
+    # build_parser() is the whole tree, as the bench setup timer builds it.
     with pytest.raises(CliError) as exc:
         build_parser().parse_args(["bogus"])
     assert str(exc.value).endswith(choose_from)
