@@ -873,11 +873,13 @@ def count_parsers(monkeypatch):
     return built
 
 
-def test_parsers_built_per_call(capsys, monkeypatch):
-    # A plain argv, `=` spellings included, builds no parser; any other argv
-    # builds the whole tree once: the top-level parser and one subparser per
-    # subcommand.
+def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
+    # A plain argv, `=` spellings included, is read off the named
+    # subcommand's rows alone and builds no parser, sys.argv included.
     built = count_parsers(monkeypatch)
+    read = []
+    parse_exact = cli._parse_exact
+    monkeypatch.setattr(cli, "_parse_exact", lambda name, argv: read.append(name) or parse_exact(name, argv))
     plain = run_cli(capsys, "member", "--q", "3/2", "--value", "3")
     assert plain[0] == EXIT_OK
     assert run_cli(capsys, "member", "--q=3/2", "--value=3") == plain
@@ -887,6 +889,15 @@ def test_parsers_built_per_call(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["cyclofact", "lengths", "--q=3/2", "--value", "9"])
     assert main() == EXIT_OK
     capsys.readouterr()
+    assert read == ["member"] * 3 + ["minimal-pair", "lengths"]
+    assert built == []
+
+
+def test_parsers_built_per_call(capsys, monkeypatch):
+    # A plain argv builds no parser; any other argv builds the whole tree
+    # once: the top-level parser and one subparser per subcommand.
+    built = count_parsers(monkeypatch)
+    assert run_cli(capsys, "member", "--q", "3/2", "--value", "3")[0] == EXIT_OK
     assert built == []
     tree = ["cyclofact", *(f"cyclofact {name}" for name in COMMANDS)]
     codes = [("exit", 0), EXIT_DOMAIN_ERROR, EXIT_OK, EXIT_DOMAIN_ERROR, ("exit", 0), EXIT_DOMAIN_ERROR]
