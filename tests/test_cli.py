@@ -22,6 +22,7 @@ from cyclofact.elasticity import construct_elasticity
 from cyclofact.omega import IntervalMonoid
 from cyclofact.polynomials import NatPoly
 from cyclofact.semiring import RationalBase, length_stats
+from test_contract import VALID_ARGV, parser_shapes, pinned_outcomes
 
 
 def run_cli(capsys, *argv):
@@ -579,59 +580,39 @@ def test_pairs_writer_matches_json_dumps(first, steps):
     assert pairs_text(poly) == json.dumps(poly.to_pairs(), separators=(",", ":"))
 
 
-# sha256 of the antiprime stdout documents, concatenated over k in (0, 1, 3)
-# and then K in (1, 2, 5, 10): twelve per base.
-ANTIPRIME_DIGESTS = {
-    "2/3": "fae25420bf82144eb982145e62b50e5d9077e6b7de1a3b136cd00747594125f8",
-    "3/4": "010991d23bd37d11e90ebef30de682b4662b2e3cd725670b89d31e91cda440c9",
-    "9/10": "a162cd7454a9d65008782f5d70fc9b50a20a02b1df6c7b779ecbda33e5b11775",
-    "99/100": "35aaf5741bdc997f946828e53aa98f150e01d3e532263136f2a153596d63320d",
-    "999/1000": "803d31d6e5fb2aea023be00c05107d4cfb6771e37fa7e21654f30087cef8a394",
-    "5/7": "40c104676490d8182e716ec600fdc48ee703fe3a71f44dd6df4992279f9c3e49",
-    "13/17": "45c8ae2c31260c9c7a02a650c076e5856e94e6d07b4f54418e117876e9afc614",
-}
-
-
-@pytest.mark.parametrize("q", sorted(ANTIPRIME_DIGESTS))
-def test_antiprime_documents_are_pinned(q, capsys):
-    digest = hashlib.sha256()
-    for k in (0, 1, 3):
-        for big_k in (1, 2, 5, 10):
-            code, out, err = run_cli(capsys, "antiprime", "--q", q, "--k", str(k), "--K", str(big_k))
-            assert (code, err) == (EXIT_OK, "")
-            digest.update(out.encode())
-    assert digest.hexdigest() == ANTIPRIME_DIGESTS[q]
-
-
-# sha256 of `factorize --enumerate` stdout: the bench's enumerated values,
-# plus 7/5, 8/5 and a value with a power-of-b denominator.
-ENUMERATE_DIGESTS = {
-    ("3/2", "27"): "94e7c6d584fbad4e8ed873d9af74ecc42294c91c8cc2d1ebe22c0eaa603244f8",
-    ("3/2", "54"): "f6b557e502d23635171bd2c64e909f78de79719eff637a85bd1bff765f19b45d",
-    ("3/2", "81"): "ffc926175fa2f794c09ecb0222e8b07499c97d4a07a9da4b3dd7b7244710ef0a",
-    ("5/3", "75"): "fda58da98e09a2094ef13af4b2aa13740c3bcc1f5a008f05b602b884384c61bc",
-    ("5/3", "125"): "484941332f329b05e02964b3c7b0b0daaf34271a75f7287a8446804365e0cf95",
-    ("7/4", "49"): "346b683f97efc531f5c497ec702860f5998a5e5336e5a3f5bd6b0cc87c403211",
-    ("7/4", "100"): "036d5e0e5b0b5faafb806c9802d4b620b78ae31e6e25061f153b21d0e484325d",
-    ("5/2", "125"): "d974383ca0ec07d68917232b0f8e0059b2af55ca9347359254866867d572c203",
-    ("7/5", "49"): "bdf4a0a2c674a0de941b13dcfe46e358fa9bea385044f1973628c9b02d523f95",
-    ("8/5", "64"): "efe74d3059ae643934698cda4303c2bf198cdfefabee0ecd5cd072386d34aad9",
-    ("3/2", "339/32"): "f921c2bc313f61f3918f88e0bb974cf2702efb443d8d01548a3588ee6f372f08",
-    # Denominators whose inverse mod a is not 1.
-    ("5/3", "250/9"): "0dbaa2c24da7b475d604bb6e75c7230c8f536e82a1ddb398e955759d67ed757d",
-    ("7/4", "457/16"): "3dad3007b64d9c58734ff614e5eecb47d0a6a72dc215c3eb2af1eee6c9a6f9dc",
-    ("11/10", "121/10"): "b6d405c2ae96841b68b435413a1d9f77faba85a1111cdf1f3096ce75eb98729d",
-    # The integer base's one factorization and the empty factorization of 0.
-    ("3", "5"): "b432f03c9564f6f2c98e38b9a74c66cc80605f2b027330f818e04278c695cf36",
-    ("3/2", "0"): "dbf11abb0abeaaf31d44470ed393f6d0bedacbb52f01ae23f7191a48174aef99",
-}
-
-
-def test_factorize_enumerate_documents_are_pinned(capsys):
-    for (q, value), pinned in ENUMERATE_DIGESTS.items():
-        code, out, err = run_cli(capsys, "factorize", "--q", q, "--value", value, "--enumerate")
+@pytest.mark.parametrize("q", ["13/17", "2/3", "3/4", "5/7", "9/10", "99/100", "999/1000"])
+def test_antiprime_documents_are_pinned(q):
+    # The corpus pins their bytes; each document must also hold what its checks claim.
+    argvs = [["antiprime", "--q", q, "--k", str(k), "--K", str(big_k)] for k in (0, 1, 3) for big_k in (1, 2, 5, 10)]
+    for argv, code, out, err in pinned_outcomes("antiprime", argvs):
         assert (code, err) == (EXIT_OK, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == pinned, (q, value)
+        doc, base = json.loads(out), Fraction(q)
+        x, atom, presentation = Fraction(doc["x"]), base ** doc["k"], NatPoly(dict(doc["presentation"]))
+        assert [str(doc["k"]), str(doc["K"])] == argv[4::2] and set(doc["checks"].values()) == {"pass"}
+        assert presentation.eval(base) == x and presentation.order() >= doc["N"] and doc["K"] * base ** doc["N"] < atom
+        certificate = doc["certificate"]
+        assert (Fraction(certificate["dividend"]), Fraction(certificate["divisor"])) == (x, atom)
+        assert NatPoly(dict(certificate["quotient"])).eval(base) == x - atom
+
+
+# The bench's enumerated values, 7/5, 8/5, denominators b^k (250/9, 457/16 and 121/10 with an inverse mod a
+# other than 1), the integer base's one factorization and the empty factorization of 0.
+ENUMERATED = [("3/2", "27"), ("3/2", "54"), ("3/2", "81"), ("5/3", "75"), ("5/3", "125"), ("7/4", "49"), ("7/4", "100")]
+ENUMERATED += [("5/2", "125"), ("7/5", "49"), ("8/5", "64"), ("3/2", "339/32"), ("5/3", "250/9"), ("7/4", "457/16")]
+ENUMERATED += [("11/10", "121/10"), ("3", "5"), ("3/2", "0")]
+
+
+def test_factorize_enumerate_documents_are_pinned():
+    # The corpus pins their bytes; each listed factorization must also be one, listed once, among them both extremes.
+    argvs = [["factorize", "--q", q, "--value", value, "--enumerate"] for q, value in ENUMERATED]
+    for argv, code, out, err in pinned_outcomes("enumerate", argvs):
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        found = doc["factorizations"]
+        assert {NatPoly(dict(z)).eval(Fraction(argv[2])) for z in found} == {Fraction(argv[4])}, argv
+        assert len({str(z) for z in found}) == len(found) and doc["min_factorization"] in found
+        lengths = [NatPoly(dict(z)).length() for z in found]
+        assert [NatPoly(dict(doc[f"{end}_factorization"])).length() for end in ("min", "max")] == [min(lengths), max(lengths)]
 
 
 def test_antiprime_at_k_100_is_pinned_and_linear_in_its_output(capsys):
@@ -762,18 +743,6 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["member"] is True
 
 
-VALID_ARGV = {
-    "minimal-pair": ["--rational", "3/2"],
-    "member": ["--q", "3/2", "--value", "13/4"],
-    "factorize": ["--q", "3/2", "--value", "9", "--enumerate"],
-    "lengths": ["--q", "3/2", "--value", "9", "--oracle-cap", "7"],
-    "construct-elasticity": ["--q", "3/2", "--target", "5/3"],
-    "elasticity-scan": ["--q", "3/2", "--bound", "20", "--out", "scan.csv"],
-    "omega-interval": ["--q", "3/2", "--atom", "5/4"],
-    "antiprime": ["--q", "2/3", "--k", "0", "--K", "10"],
-}
-
-
 # argvs that _parse_exact leaves to argparse: help, a usage error, an
 # abbreviation, a store_true option given a value
 FALLBACK_ARGVS = [
@@ -792,35 +761,12 @@ def run_via_argparse(capsys, monkeypatch, *argv):
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_single_subcommand_parser_parses_like_the_full_tree(name, capsys, monkeypatch, tmp_path):
+def test_table_route_parses_like_argparse_on_16_shapes(name, capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")
-    flag = next(flag for flag, _ in COMMANDS[name][2] if flag.startswith("--"))  # a rational flag
-    valid = VALID_ARGV[name]
-    argvs = [
-        [name, "--help"],
-        [name],
-        [name, *valid],
-        [name, flag],
-        [name, flag, "x/y"],
-        [name, *valid, "--bogus"],
-        [name, *valid, "extra"],
-        [name, *valid[:2], "-h"],
-        [name, "--", flag],
-        [name, f"{flag}=3/2"],
-        [name, "--val", "-3"],
-        [name, "--value", "-3"],
-        [name, *valid, *valid],
-        [name, "--", *valid],
-        [name, "-"],
-        [name, *valid, "--q"],
-    ]
     monkeypatch.chdir(tmp_path)  # elasticity-scan's valid argv writes --out
-    for argv in argvs:
+    for argv in parser_shapes(name):
         assert run_cli(capsys, *argv) == run_via_argparse(capsys, monkeypatch, *argv), argv
-    assert cli._parse_exact(name, valid) is not None
-    code, out, _ = run_cli(capsys, name, "--help")
-    assert code == ("exit", 0)
-    assert out.startswith(f"usage: cyclofact {name} [-h]")
+    assert cli._parse_exact(name, VALID_ARGV[name]) is not None
 
 
 def option_tokens(name):

@@ -1,6 +1,5 @@
-import contextlib
-import hashlib
 import io
+import json
 import math
 from fractions import Fraction as F
 from typing import NamedTuple
@@ -12,7 +11,7 @@ from hypothesis import example, given, settings
 import cyclofact.algebraic as algebraic
 import cyclofact.elasticity as elasticity
 from cyclofact.algebraic import elasticity_formula, elasticity_lower_bound_sequence
-from cyclofact.cli import main, write_scan_csv
+from cyclofact.cli import write_scan_csv
 from cyclofact.elasticity import (
     ScanCapExceeded,
     construct_elasticity,
@@ -33,6 +32,7 @@ from cyclofact.semiring import (
     member_witness,
     up_normal_form,
 )
+from test_contract import pinned_outcomes
 from test_semiring import BASES, brute_force_members
 
 B32 = RationalBase(3, 2)
@@ -300,74 +300,42 @@ class TestConstructElasticity:
             construct_elasticity(RationalBase(3, 1), F(3, 2))
 
 
-# sha256 of the construct-elasticity stdout documents, concatenated over the
-# coprime targets s/t with 2 <= s <= 11 in (s, t) order: 41 per base.
-CERTIFICATE_DIGESTS = {
-    "3/2": "fc8b9bda509a86614a72a704c22ac783e93bd3394e33f39d0a72d26301195d77",
-    "5/3": "c67482ce4cd0d286452d76da6fe73ff312c0e4714c94c31f37795f6cb9f795ce",
-    "5/2": "a745e59f9b9107733c91ceb31b51b19cd700d963be30a5e0c3ea4e43704242ea",
-    "7/4": "c15920f2c22f2bd3846025ecb43bbecc662bf65c313fbf3df6474140895e5848",
-}
+def certificate_failures(q, cap=()):
+    """The failures among the corpus's construct-elasticity outcomes at q for the 41 targets s/t, s <= 11.
+
+    The corpus pins their bytes; here a success must be a certificate that verifies, a failure a ScanCapExceeded."""
+    base = RationalBase(F(q).numerator, F(q).denominator)
+    argvs = [["construct-elasticity", "--q", q, "--target", f"{t.numerator}/{t.denominator}", *cap] for t in coprime_targets(11)]
+    failures = 0
+    for argv, code, out, err in pinned_outcomes("construct-elasticity", argvs):
+        if code:
+            assert (code, out, json.loads(err)["error"]["type"]) == (2, "", "ScanCapExceeded"), argv
+            failures += 1
+            continue
+        doc = json.loads(out)
+        presentation = NatPoly(dict(doc["presentation"]))
+        assert err == "" and presentation.eval(base.q) == F(doc["element"])
+        lengths = (up_normal_form(base, presentation).length(), down_normal_form(base, presentation).length())
+        assert lengths == (doc["min_length"], doc["max_length"])
+        assert F(doc["achieved"]) == F(doc["max_length"], doc["min_length"]) == F(doc["target"]), argv
+    return failures
 
 
-@pytest.mark.parametrize("q", sorted(CERTIFICATE_DIGESTS))
+@pytest.mark.parametrize("q", ["3/2", "5/2", "5/3", "7/4"])
 def test_certificate_documents_are_pinned(q):
-    digest = hashlib.sha256()
-    for target in coprime_targets(11):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["construct-elasticity", "--q", q, "--target", f"{target.numerator}/{target.denominator}"]) == 0
-        digest.update(out.getvalue().encode())
-    assert digest.hexdigest() == CERTIFICATE_DIGESTS[q]
+    assert certificate_failures(q) == 0
 
 
-# The same targets where the forced gap settles later or never: 7/5 (gap 4),
-# 11/10 (gap 26), 13/6 (gap 1) and 8/5 (no gap).  Some of these targets exit
-# 2, so each call adds its exit code, stdout and stderr to the sha256:
-# (digest, number of non-zero exits), keyed by (q, --scan-cap), None for the
-# default cap.  Caps 1 and 7 run on all eight bases: a cap of 1 cuts the
-# power scan before its own stop, and 7 moves the perturbation scan's early
-# exit.
-OUTCOME_DIGESTS = {
-    ("7/5", None): ("fcbaa63f112c8bb333e19c3ac42a113f57103fdf81861b036d11d93b5263b0fe", 10),
-    ("8/5", None): ("7ef637d788dfe3b9e84b160f8f7ca116390270b81c54c252b695b15540ad7878", 5),
-    ("11/10", None): ("6e9c3a39a2c9627d332c6418bf14559613d752bd896fda18f6dfbc996f2c70c5", 35),
-    ("13/6", None): ("c3f7ccb021ae74d65b61d837ce2f85c8603581a0b0692f0613843e1867b11bbc", 2),
-    ("3/2", 1): ("4be75de05f4b589d790263c1eac87ca5201777b2d9371933dc8ef9f31796c059", 23),
-    ("5/3", 1): ("9e6b81b0f8512d4f70c2dc307be9056d2be9afe24dfba74fad89bf3207ba9c79", 20),
-    ("5/2", 1): ("4a2748de6363dd4e758811b6169c479eda39bdc7118dea01c2500b9bc9999ee9", 19),
-    ("7/4", 1): ("38571661f3e9c49b3d7506aa9637a51cb7b6e0b97c7a868289ed2532289c501b", 17),
-    ("7/5", 1): ("168fca8d93814dbb7d0d15d9f67f937811b89bbdafcc846aa0efde94645853ad", 21),
-    ("8/5", 1): ("3334c8a80d68b948d0d8344161be22be3ead3acf2fd1d5a5a9490990ffc3f170", 23),
-    ("11/10", 1): ("9f28a52b9cb6f976c2278ae0262792f10abdceb35aaea85112153f50749f89bf", 35),
-    ("13/6", 1): ("04b579b58cd98c0e3b5fb130fe5a7009683273c974dafcdae555c6286a67e00e", 24),
-    ("3/2", 7): ("64e0efcf5ce8f8cd600f341415d363983210d94ddceef2d824c470d9342c9985", 7),
-    ("5/3", 7): ("3ae9b6ef8dc622030a69810e6d282cddd78a576b03fc3a5f8513bbf2ecb040ab", 9),
-    ("5/2", 7): ("3a62168ace365de2e973df1304abeae0e1a6f22fec8d6687191a1235e2dfdbb0", 1),
-    ("7/4", 7): ("65769ea4c14ac41b877768897f310c85b498b0d90d50c0ff4240c6f5b206abbc", 7),
-    ("7/5", 7): ("bac501dbcf176757ba6d68a0631244070b46ad959d7716efbaf461ba25af65a4", 15),
-    ("8/5", 7): ("1fb98419ad35802c4595423e53636b1f8a0c5a33cb095037c379b511ab3e3ecd", 18),
-    ("11/10", 7): ("a2aba89bd4a3b003a74e57851a48e633c324b54101f0e6f99d35850cbb63109d", 35),
-    ("13/6", 7): ("1f1eb3bc99ed79e8484d96956ef4073c26d36cb16ff00cd40f98d43b3b467bf6", 16),
-}
+# Bases where the forced gap settles later or never: 7/5 (gap 4), 11/10 (gap 26), 13/6 (gap 1) and 8/5 (no
+# gap).  On all eight, a --scan-cap of 1 cuts the power scan before its own stop, and 7 moves the
+# perturbation scan's early exit.
+OUTCOME_CASES = [(q, None) for q in ("7/5", "8/5", "11/10", "13/6")]
+OUTCOME_CASES += [(q, cap) for cap in (1, 7) for q in ("3/2", "5/3", "5/2", "7/4", "7/5", "8/5", "11/10", "13/6")]
 
 
-@pytest.mark.parametrize(
-    "q, cap",
-    [pytest.param(q, cap, id=q if cap is None else f"{q}-cap{cap}") for q, cap in OUTCOME_DIGESTS],
-)
+@pytest.mark.parametrize("q, cap", [pytest.param(q, cap, id=f"{q}-cap{cap}" if cap else q) for q, cap in OUTCOME_CASES])
 def test_certificate_outcomes_are_pinned_on_more_bases(q, cap):
-    digest, failures = hashlib.sha256(), 0
-    scan_cap = [] if cap is None else ["--scan-cap", str(cap)]
-    for target in coprime_targets(11):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(
-                ["construct-elasticity", "--q", q, "--target", f"{target.numerator}/{target.denominator}", *scan_cap]
-            )
-        failures += code != 0
-        digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
-    assert (digest.hexdigest(), failures) == OUTCOME_DIGESTS[q, cap]
+    certificate_failures(q, ["--scan-cap", str(cap)] if cap else [])
 
 
 @pytest.mark.parametrize("base", GRID_BASES + [RationalBase(7, 5), RationalBase(11, 10)], ids=str)
