@@ -147,6 +147,36 @@ def test_terms_are_stored_and_read_by_degree():
     assert list(cancelled.terms) == [2, 5] and cancelled.degree() == 5
 
 
+def test_constructor_contract():
+    # A mapping: stored by ascending degree, zeros dropped, the caller's map untouched.
+    mapping = {7: 2, 0: 0, 3: 1, 1: 5}
+    assert list(NatPoly(mapping).items()) == [(1, 5), (3, 1), (7, 2)]
+    assert mapping == {7: 2, 0: 0, 3: 1, 1: 5} and list(mapping) == [7, 0, 3, 1]
+    assert list(NatPoly({0: 1, 4: 0, 9: 3}).items()) == [(0, 1), (9, 3)]
+    assert NatPoly({0: 0, 2: 0}).is_zero and RatPoly({5: 0, 1: F(0)}).is_zero
+    rat_mapping = {4: F(0), 2: 3, 0: F(-1, 2), 1: 0}
+    rat = RatPoly(rat_mapping)
+    assert list(rat.items()) == [(0, F(-1, 2)), (2, 3)]
+    assert all(type(c) is F for _, c in rat.items()) and type(rat_mapping[2]) is int
+    # The lowest degree is checked before zeros go: a negative one raises even at coefficient 0.
+    for cls in (NatPoly, RatPoly):
+        for terms in ({-1: 0}, {3: 1, -2: 0, -1: 4}, {-4: F(0), 0: 1}, [(2, 1), (-3, 0)]):
+            lowest = min(dict(terms))
+            with pytest.raises(ValueError, match=f"^negative degree {lowest}$"):
+                cls(terms)
+    # NatPoly names the lowest degree with a negative coefficient.
+    with pytest.raises(ValueError, match="^negative coefficient -3 at degree 2$"):
+        NatPoly({9: -1, 0: 4, 5: -7, 2: -3})
+    with pytest.raises(ValueError, match="^negative coefficient -1 at degree 4$"):
+        NatPoly([(4, 2), (6, 1), (4, -3)])
+    # Pairs may repeat a degree: they merge, and a sum of zero drops the degree.
+    assert list(NatPoly([(3, 1), (0, 2), (3, 4), (0, 1)]).items()) == [(0, 3), (3, 5)]
+    assert list((NatPoly({0: 1, 2: 1}) + NatPoly({2: 3, 5: 1})).items()) == [(0, 1), (2, 4), (5, 1)]
+    assert list((RatPoly({1: 2, 3: 1}) - RatPoly({1: 2})).items()) == [(3, 1)]
+    assert list(parse_polynomial("X^2 + 3 - X^2 + 2X + 1/2").items()) == [(0, F(7, 2)), (1, 2)]
+    assert parse_polynomial("X - X").is_zero
+
+
 def test_poly_pair_serialization():
     p = NatPoly({3: 2, 0: 1})
     assert p.to_pairs() == [[0, 1], [3, 2]]
