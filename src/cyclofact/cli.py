@@ -296,7 +296,7 @@ def _cmd_antiprime(args) -> None:
         },
         "checks": {name: ("pass" if ok else "fail") for name, ok in witness.checks.items()},
     }
-    head, tail = json.dumps(doc, separators=(",", ":")).split('"@quotient@"')
+    head, tail = json.dumps(doc, separators=(",", ":"), check_circular=False).split('"@quotient@"')
     quotient = _pairs_json(witness.certificate.quotient_presentation)
     sys.stdout.write("".join([head, *quotient, tail, "\n"]))
 
@@ -426,7 +426,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_DOMAIN_ERROR
     if doc is not None:
-        sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        # Each handler builds a fresh tree, so no cycle to check for (one would raise RecursionError).
+        sys.stdout.write(json.dumps(doc, separators=(",", ":"), check_circular=False) + "\n")
     return EXIT_OK
 
 

@@ -28,7 +28,8 @@ Every candidate is an integer n, and n copies of the atom 1 have no digit at
 degree >= 1, so by the uniqueness proof in the ``semiring`` docstring they
 are the down normal form: L = n, and that form is the presentation the
 forced atoms extend.  Only ell, the digit sum of the up form, takes a pass:
-the plain up carry of n, with no level count and no digit table.  Once the
+the plain up carry of a^k, with no level count, into a digit list that the
+perturbations a^N + m then step one atom at a time.  Once the
 gaps between forced atoms settle, the remaining atoms come in closed form
 (``forced_atom_shift``): no per-atom loop runs past the transient.
 
@@ -41,6 +42,7 @@ A scan's rows stay integers; the CLI's CSV writer reduces them.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from .polynomials import NatPoly
@@ -173,20 +175,33 @@ class ElasticityCertificate(NamedTuple):
         return Fraction(self.max_len, self.min_len)
 
 
-def _integer_min_length(base: RationalBase, n: int) -> int:
-    """The min length of the integer n >= 1: the digit sum of its up form.
+def _min_lengths(base: RationalBase, n: int):
+    """Yield the min lengths, the up forms' digit sums, of the integers n, n+1, ... (n >= 1).
 
-    The ``semiring`` docstring's up carry from q^0: each level keeps its
-    count mod a and sends b copies up per a, until nothing is left.
+    The ``semiring`` docstring's up carry of n from q^0 runs once.  Each next
+    integer adds the atom 1, and each up move (a copies at a level become b
+    at the next) lowers the sum by a - b: ell(n+1) = ell(n) + 1 - j(a-b).
     """
     # Not semiring._carry: its level count and digit dict make it 2.5-3.8x slower here.
     a, b = base.a, base.b
-    total = 0
+    digits = []
     while n:
         n, d = divmod(n, a)
-        total += d
+        digits.append(d)
         n *= b
-    return total
+    ell = sum(digits)
+    while True:
+        yield ell
+        ell += 1
+        digits[0] += 1
+        i = 0
+        while digits[i] >= a:
+            digits[i] -= a
+            ell -= a - b
+            i += 1
+            if i == len(digits):
+                digits.append(0)
+            digits[i] += b
 
 
 def _candidates(base: RationalBase, s: int, t: int, n_exp: int, scan_cap: int, log: list[dict]):
@@ -200,7 +215,7 @@ def _candidates(base: RationalBase, s: int, t: int, n_exp: int, scan_cap: int, l
         if needs:
             raise OracleBudgetExceeded(f"q^e <= a^{k} at q={base}, a candidate for target {s}/{t}, needs {needs}")
         n = base.a**k
-        ell = _integer_min_length(base, n)
+        ell = next(_min_lengths(base, n))
         score = t * n - s * ell
         log.append({"step": "scan", "k": k, "min_len": ell, "max_len": n, "residue": score % d})
         yield n, ell, {"kind": "power", "indices": [k]}
@@ -212,12 +227,12 @@ def _candidates(base: RationalBase, s: int, t: int, n_exp: int, scan_cap: int, l
     # the classes modulo s-t at bounded magnitude.  ell(n+1) <= ell(n) + 1
     # (add the atom 1), so the score falls by at most d per offset: once
     # score // d exceeds the cap by more than the offsets left, no offset up
-    # to scan_cap can be selected.  This phase logs no rows, so where it
-    # stops does not show in the error.
+    # to scan_cap can be selected.  The carry of a^N runs once; each offset
+    # steps it by one atom.  This phase logs no rows, so where it stops does
+    # not show in the error.
     power = base.a**n_exp
-    for m in range(1, scan_cap + 1):
+    for m, ell in zip(range(1, scan_cap + 1), islice(_min_lengths(base, power), 1, None)):
         n = power + m
-        ell = _integer_min_length(base, n)
         if (t * n - s * ell) // d - (scan_cap - m) > MATERIALIZE_CAP:
             return
         yield n, ell, {"kind": "perturbed-power", "indices": [n_exp], "offset": m}

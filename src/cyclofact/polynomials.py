@@ -35,15 +35,18 @@ class ZeroPolynomialError(ValueError):
 
 
 def _clean(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> dict[int, int]:
-    items = sorted(terms.items() if hasattr(terms, "items") else terms)
-    if items and items[0][0] < 0:
-        raise ValueError(f"negative degree {items[0][0]}")
-    out: dict[int, int] = {}
-    for deg, coeff in items:
-        coeff += out.pop(deg, 0)  # a repeated degree is the last key so far
-        if coeff:
-            out[deg] = coeff
-    return out
+    if hasattr(terms, "items"):
+        # One coefficient per degree: nothing to merge.  Carry digits and forced atoms already ascend.
+        degrees = list(terms)
+        out = dict(terms) if degrees == sorted(degrees) else dict(sorted(terms.items()))
+    else:
+        out = {}
+        for deg, coeff in sorted(terms):
+            out[deg] = out.pop(deg, 0) + coeff  # a repeated degree is the last key so far
+    lowest = next(iter(out), 0)
+    if lowest < 0:
+        raise ValueError(f"negative degree {lowest}")
+    return out if all(out.values()) else {deg: coeff for deg, coeff in out.items() if coeff}
 
 
 class _SparsePoly:
@@ -117,9 +120,9 @@ class _SparsePoly:
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._terms.items())
 
-    def to_pairs(self) -> list[list[int]]:
-        """JSON form: [degree, coefficient] pairs by ascending degree, as stored."""
-        return [[d, c] for d, c in self._terms.items()]
+    def to_pairs(self) -> list[tuple[int, int]]:
+        """JSON form: the stored (degree, coefficient) tuples by ascending degree; json writes them as arrays."""
+        return list(self._terms.items())
 
     def __add__(self, other):
         return type(self)([*self._terms.items(), *other._terms.items()])
@@ -170,9 +173,9 @@ class NatPoly(_SparsePoly):
 
     @staticmethod
     def _check(terms: dict[int, int]) -> None:
-        for deg, coeff in terms.items():
-            if coeff < 0:
-                raise ValueError(f"negative coefficient {coeff} at degree {deg}")
+        if terms and min(terms.values()) < 0:
+            deg = next(deg for deg, coeff in terms.items() if coeff < 0)
+            raise ValueError(f"negative coefficient {terms[deg]} at degree {deg}")
 
     @classmethod
     def zero(cls) -> "NatPoly":

@@ -2,6 +2,7 @@ import io
 import json
 import math
 from fractions import Fraction as F
+from itertools import islice
 from typing import NamedTuple
 
 import hypothesis.strategies as st
@@ -247,6 +248,31 @@ class TestForcedAtomShift:
             for z in iter_factorizations(B32, shift.element):
                 assert NatPoly(z).coeff(n) >= 1
 
+    @pytest.mark.parametrize("base", SHIFT_BASES, ids=str)
+    def test_element_is_in_lowest_terms_over_b_to_the_last_exponent(self, base):
+        # After an atom at q^n the numerator over b^n is a^n plus a multiple
+        # of b, so b^n is the reduced denominator.  That n is the last forced
+        # exponent, settled or not (8/5 and 21/13 leave the loop one level
+        # higher); with no atom the element is the start.
+        for pres in (NatPoly({0: 1}), NatPoly({0: 5}), NatPoly({0: 1, 2: 1}), NatPoly({3: 2})):
+            beta = pres.eval(base.q)
+            for shifts in (1, 2, 7, 60, 2000):
+                shift = forced_atom_shift(base, beta, pres, shifts)
+                assert shift.element.denominator == base.b ** shift.forced_exponents[-1]
+            assert forced_atom_shift(base, beta, pres, 0).element == beta
+        for target in coprime_targets(11):
+            try:
+                cert = construct_elasticity(base, target)
+            except ScanCapExceeded:
+                continue
+            assert cert.element.denominator == base.b ** cert.construction_log[-1]["exponents"][-1]
+
+    def test_certificate_with_no_forced_atom_is_its_integer(self):
+        # 15/1 at 5/2 is selected with shift count 0: the element is the integer itself.
+        cert = construct_elasticity(RationalBase(5, 2), F(15))
+        assert cert.construction_log[-1] == {"step": "shift", "count": 0, "exponents": []}
+        assert cert.element == int(cert.construction_log[-2]["element"]) and cert.element.denominator == 1
+
     def test_integer_base_rejected(self):
         with pytest.raises(ValueError):
             forced_atom_shift(RationalBase(2, 1), F(3), NatPoly({0: 3}), 1)
@@ -352,7 +378,26 @@ def test_max_form_of_an_integer_is_copies_of_one(base, n):
 @settings(max_examples=60, deadline=None)
 def test_min_length_of_an_integer_is_its_witness_length(base, n):
     # The candidates' min length: the plain up carry against the witness.
-    assert elasticity._integer_min_length(base, n) == member_witness(base, F(n)).length()
+    assert next(elasticity._min_lengths(base, n)) == member_witness(base, F(n)).length()
+
+
+STEPPED_BASES = ["3/2", "5/3", "7/4", "5/2", "7/5", "8/5", "11/10", "13/6", "21/13"]
+
+
+@pytest.mark.parametrize("q", STEPPED_BASES)
+def test_phase_b_steps_match_the_full_carry(q):
+    # Phase B carries a^N once and steps one atom per offset; every length
+    # it yields is the min length of a^N + m carried from scratch.
+    base = RationalBase(F(q).numerator, F(q).denominator)
+    for target in (F(2), F(7, 3), F(3, 2), F(11, 10)):
+        n_exp = max_atom_exponent(base, target) + 1
+        power = base.a**n_exp
+        scratch = [member_witness(base, F(power + m)).length() for m in range(201)]
+        assert list(islice(elasticity._min_lengths(base, power), 201)) == scratch
+        s, t = target.numerator, target.denominator
+        for n, ell, fields in elasticity._candidates(base, s, t, n_exp, 200, []):
+            if fields["kind"] == "perturbed-power":
+                assert (n, ell) == (power + fields["offset"], scratch[fields["offset"]])
 
 
 class Row(NamedTuple):

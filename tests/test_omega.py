@@ -179,10 +179,10 @@ class TestAntiprimeChain:
     def test_chain_example(self):
         chain = antiprime_witness_chain(F(2, 3), 0, 2)
         assert [e.beta for e in chain] == [1, 2, 4]
-        assert chain[1].presentation.to_pairs() == [[1, 3]]
-        assert chain[2].presentation.to_pairs() == [[2, 9]]
-        assert chain[1].step.quotient_presentation.to_pairs() == [[0, 1]]
-        assert chain[2].step.quotient_presentation.to_pairs() == [[1, 3]]
+        assert chain[1].presentation.to_pairs() == [(1, 3)]
+        assert chain[2].presentation.to_pairs() == [(2, 9)]
+        assert chain[1].step.quotient_presentation.to_pairs() == [(0, 1)]
+        assert chain[2].step.quotient_presentation.to_pairs() == [(1, 3)]
 
     def test_base_case(self):
         chain = antiprime_witness_chain(F(2, 3), 0, 0)
@@ -194,7 +194,7 @@ class TestAntiprimeChain:
         chain = antiprime_witness_chain(F(2, 3), 1, 1)
         assert chain[0].beta == F(2, 3)
         assert chain[1].beta == F(4, 3)
-        assert chain[1].presentation.to_pairs() == [[2, 3]]
+        assert chain[1].presentation.to_pairs() == [(2, 3)]
         assert chain[1].from_base.quotient_presentation.eval(F(2, 3)) == F(2, 3)
 
     def test_supports_climb_with_the_chain(self):
@@ -220,7 +220,7 @@ class TestOmegaLowerBound:
         w = omega_lower_bound(F(2, 3), 0, 10)
         assert w.N == 6
         assert w.x == 64
-        assert w.x_presentation.to_pairs() == [[6, 729]]
+        assert w.x_presentation.to_pairs() == [(6, 729)]
         assert all(witness_checks(w, F(2, 3)).values())
 
     def test_n_is_minimal(self):

@@ -179,7 +179,7 @@ def test_constructor_contract():
 
 def test_poly_pair_serialization():
     p = NatPoly({3: 2, 0: 1})
-    assert p.to_pairs() == [[0, 1], [3, 2]]
+    assert p.to_pairs() == [(0, 1), (3, 2)]
     assert NatPoly(p.to_pairs()) == p
 
 

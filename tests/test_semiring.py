@@ -618,7 +618,7 @@ def test_iter_factorizations_yields_in_print_order(case):
             assert all(type(p) is tuple and len(p) == 2 and all(type(v) is int for v in p) for p in z)
             assert all(d < e for (d, _), (e, _) in zip(z, z[1:]))
             assert all(count >= 1 for _, count in z)
-            assert NatPoly(z).to_pairs() == [list(p) for p in z]
+            assert NatPoly(z).to_pairs() == list(z)
 
 
 class TestLengthStats:
