@@ -17,7 +17,7 @@ Equal coefficient maps compare equal across the two classes.
 Zero coefficients are never stored, so the zero polynomial is the empty map;
 it is a distinct queryable state (``is_zero``) and asking for its order or
 degree is a hard error.  Sparse maps suit presentations: few terms, large
-exponents.  The constructor sorts the terms by degree once; no reader sorts.
+exponents.  The constructor orders the terms by degree once; no reader sorts.
 
 All instances are immutable values and safe to share across threads.
 """
