@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .polynomials import NatPoly
@@ -309,36 +310,37 @@ def _canonical_forms(
     """(b^E, [(x b^E, min length, max length)] sorted by x, complete) over the elements x <= bound.
 
     Each x has exactly one factorization sum d_i q^i with all d_i < a, and
-    i <= E = max_atom_exponent(bound).  The strings are grown from d_E down in
-    lexicographic order, as integers sum d_i a^i b^(E-i) <= bound * b^E; a
-    prefix that fits extends by zeros, so no prefix is a dead end.  Keeping
-    only the first `budget` prefixes of each level keeps the first `budget`
-    strings; a level stops at budget + 1 children, enough to tell it was cut.
+    i <= E = max_atom_exponent(bound) (0 below 1).  A depth-first walk takes
+    the strings from d_E down in lexicographic order, as integers
+    sum d_i a^i b^(E-i) <= bound * b^E (a prefix that fits extends by zeros,
+    so none is a dead end), and stops at the end of the level-0 frame that
+    takes it past `budget`: a partial scan costs about what its rows cost.
     The digit sum is the min length; the max length is the down normal
     form's, run along the walk: at level i >= 1 the count carry + d_i keeps
     its remainder mod b and passes a copies per b down; level 0 keeps all.
     """
-    bound = Fraction(bound)
-    a, b = base.a, base.b
-    top = max_atom_exponent(base, bound)
-    scale = b ** max(top, 0)
+    a, b, bound = base.a, base.b, Fraction(bound)
+    top = max(max_atom_exponent(base, bound), 0)
+    scale = b**top
     limit = bound.numerator * scale // bound.denominator
-    # (scaled value, digit sum, carry into this level, length fixed above it)
-    prefixes = [(0, 0, 0, 0)]
-    complete = True
-    for i in range(top, -1, -1):
-        weight = a**i * b ** (top - i)
-        longer, room = [], budget + 1
-        for value, low, carry, high in prefixes:
-            digits = min(a, (limit - value) // weight + 1, room)
-            room -= digits
-            for d in range(digits):
-                moves, rest = divmod(carry + d, b) if i else (0, carry + d)
-                longer.append((value + d * weight, low + d, moves * a, high + rest))
-        complete = complete and len(longer) <= budget
-        prefixes = longer[:budget]
-    prefixes.sort()
-    return scale, [(value, low, high) for value, low, _, high in prefixes], complete
+    weight, rows = a**top, []
+    # Frames hold the prefix above level i = top + 1 - len(stack) (scaled value, digit sum,
+    # carry in, length fixed above) and up to budget + 1 digits of i; weight is a^i b^(E-i).
+    stack = [(0, 0, 0, 0, iter(range(min(a, limit // weight + 1, budget + 1))))]
+    while stack and len(rows) <= budget:
+        value, low, carry, high, digits = stack[-1]
+        for d in digits:
+            if len(stack) <= top:
+                moves, rest = divmod(carry + d, b)
+                value, weight = value + d * weight, weight // a * b
+                most = min(a, (limit - value) // weight + 1, budget + 1)
+                stack.append((value, low + d, moves * a, high + rest, iter(range(most))))
+                break
+            rows.append((value + d * weight, low + d, high + carry + d))
+        else:
+            stack.pop()
+            weight = weight // b * a
+    return scale, sorted(rows[:budget], key=itemgetter(0)), len(rows) <= budget
 
 
 def monoid_elements_up_to(
@@ -360,13 +362,11 @@ def elasticity_scan(
 
     The rows are the integer triples (x b^E, min, max) of the nonzero
     elements, sorted by value, with the scale b^E; no Fraction is built.
-    An element's canonical digit string is its up normal form: the digit
-    sum is the minimum length, and the down normal form, carried down the
-    same digit walk, gives the maximum.  Past
-    `budget` elements (zero counted) the scan is partial: its budget - 1 rows
-    are the nonzero elements whose strings d_E..d_0 (E the top exponent under
-    the bound) come first in lexicographic order, i.e. those with zero high
-    digits, not the smallest values.
+    Min and max are the lengths of the up and down normal forms, read off
+    one depth-first digit walk.  Past `budget` elements (zero counted) the
+    scan is partial: its budget - 1 rows are the nonzero elements whose
+    strings d_E..d_0 come first in lexicographic order (zero high digits,
+    not the smallest values), and the walk stops just past them.
     """
     if base.is_integer:
         raise ValueError("the density scan requires a non-integer base")

@@ -323,6 +323,24 @@ def test_partial_scan_stops_each_level_at_the_budget():
     )
 
 
+def test_partial_scans_near_one_stop_at_the_budget():
+    # At bound 5, E is 1,609 at 1001/1000 and 16,095 at 10001/10000, on
+    # integers of about 16k and 214k bits.  The first strings in lexicographic
+    # order are zero on all but the lowest levels, so a walk that stops at the
+    # budget pays for about the rows it keeps; one that carried `cap` prefixes
+    # through all E + 1 levels took tens of seconds on both.  Never run these
+    # bases at the default cap: 10^6 rows of 16k-bit values come to about 2.5 GB.
+    for q, cap, seconds, digest in (
+        ("1001/1000", 10000, 5.0, "48c26a16364f352a476ce955593f6b85d21c9da98488893beaeb366a33aad467"),
+        ("10001/10000", 100, 10.0, "b6dfd5049aea766dbc9bed1a24b117e663609fcb6c84b0410ed618e4fa81d59d"),
+    ):
+        proc, elapsed = run_limited(("elasticity-scan", "--q", q, "--bound", "5", "--oracle-cap", str(cap)), 2**29)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), proc.stderr[-300:]
+        assert proc.stdout.endswith(f"# manifest: partial rows={cap - 1}\n")
+        assert elapsed < seconds, (q, elapsed)
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_huge_elasticity_targets_stop_phase_b_at_once():
     # At a target of 10^1000 every offset's shift count is far past the cap:
     # the score can fall by at most s - t per offset, so phase B stops at its

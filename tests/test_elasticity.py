@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from fractions import Fraction
 from fractions import Fraction as F
 from itertools import islice
 from typing import NamedTuple
@@ -477,6 +478,76 @@ class TestElasticityScan:
                 for row in fraction_rows(scan):
                     st = length_stats(base, row.value)
                     assert (row.min_len, row.max_len, row.elasticity) == (st.min_len, st.max_len, st.elasticity)
+
+
+# The level walk that elasticity._canonical_forms replaced, kept as the
+# reference for its depth-first walk: each level carries up to `budget`
+# prefixes, and a level cut at budget + 1 children marks the scan partial.
+def canonical_forms_by_level(
+    base: RationalBase, bound: Fraction, budget: int
+) -> tuple[int, list[tuple[int, int, int]], bool]:
+    """(b^E, [(x b^E, min length, max length)] sorted by x, complete) over the elements x <= bound.
+
+    Each x has exactly one factorization sum d_i q^i with all d_i < a, and
+    i <= E = max_atom_exponent(bound).  The strings are grown from d_E down in
+    lexicographic order, as integers sum d_i a^i b^(E-i) <= bound * b^E; a
+    prefix that fits extends by zeros, so no prefix is a dead end.  Keeping
+    only the first `budget` prefixes of each level keeps the first `budget`
+    strings; a level stops at budget + 1 children, enough to tell it was cut.
+    The digit sum is the min length; the max length is the down normal
+    form's, run along the walk: at level i >= 1 the count carry + d_i keeps
+    its remainder mod b and passes a copies per b down; level 0 keeps all.
+    """
+    bound = Fraction(bound)
+    a, b = base.a, base.b
+    top = max_atom_exponent(base, bound)
+    scale = b ** max(top, 0)
+    limit = bound.numerator * scale // bound.denominator
+    # (scaled value, digit sum, carry into this level, length fixed above it)
+    prefixes = [(0, 0, 0, 0)]
+    complete = True
+    for i in range(top, -1, -1):
+        weight = a**i * b ** (top - i)
+        longer, room = [], budget + 1
+        for value, low, carry, high in prefixes:
+            digits = min(a, (limit - value) // weight + 1, room)
+            room -= digits
+            for d in range(digits):
+                moves, rest = divmod(carry + d, b) if i else (0, carry + d)
+                longer.append((value + d * weight, low + d, moves * a, high + rest))
+        complete = complete and len(longer) <= budget
+        prefixes = longer[:budget]
+    prefixes.sort()
+    return scale, [(value, low, high) for value, low, _, high in prefixes], complete
+
+
+WALK_BASES = ("3/2", "5/3", "7/4", "5/2", "7/5", "8/5", "9/4", "13/6", "21/13", "11/10", "101/100", "1001/1000")
+WALK_CAPS = (1, 2, 5, 50, 10**3, 10**6)
+# Cells left out because the level walk takes more than 0.25 s on them: every
+# cap at 1001/1000 from bound 10 on (it runs 2,304 and 3,691 levels),
+# 1001/1000 at bound 3 from cap 10^3 on (1,100 levels), and 11/10 at bound 40
+# with cap 10^6, where it carries 10^6 prefixes through 39 levels.
+SLOW_LEVEL_WALK_CELLS = {
+    ("11/10", "40", 10**6),
+    ("1001/1000", "3", 10**3),
+    ("1001/1000", "3", 10**6),
+    *(("1001/1000", bound, cap) for bound in ("10", "40") for cap in (1, 2, 5, 50)),
+}
+WALK_CELLS = [
+    (q, bound, cap)
+    for q in WALK_BASES
+    for bound in ("0", "1/2", "1", "3", "10", "40")
+    for cap in WALK_CAPS
+    # Near 1, bounds 10 and 40 hold far more than 10^3 elements of thousands of bits.
+    if not (q in ("101/100", "1001/1000") and bound in ("10", "40") and cap > 50)
+    and (q, bound, cap) not in SLOW_LEVEL_WALK_CELLS
+]
+
+
+@pytest.mark.parametrize("q, bound, cap", WALK_CELLS)
+def test_depth_first_walk_matches_the_level_walk(q, bound, cap):
+    base, bound = RationalBase.from_rational(parse_rat(q)), parse_rat(bound)
+    assert elasticity._canonical_forms(base, bound, cap) == canonical_forms_by_level(base, bound, cap)
 
 
 def scan_csv_reference(scan):
