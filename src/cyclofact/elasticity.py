@@ -1,6 +1,7 @@
 """Elasticity at a rational base: forced atoms, full-elasticity certificates
 and density scans.  (The algebraic-valuation half, the lower-bound sequence
-and the finitely generated formula, lives in ``algebraic``.)
+and the finitely generated formula, is not in the package: no CLI command
+runs it, and it lives beside its tests in ``tests/algebraic.py``.)
 
 The centerpiece is ``construct_elasticity``: given a non-integer rational
 base q = a/b > 1 and a target ratio s/t >= 1, it produces an element whose

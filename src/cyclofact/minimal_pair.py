@@ -7,8 +7,8 @@ with ell*f = p - q0 and disjoint supports.  For a positive rational r the
 minimal pair is the one of X - r, which comes out as (d, d*X, n) with
 n/d = r in lowest terms.
 
-Supplied polynomials are trusted to be minimal/irreducible where that
-matters; only monicity and nonzero-ness are verified here.
+The split needs no irreducibility of f; only monicity and nonzero-ness are
+verified here.  The CLI's ``minimal-pair`` subcommand prints the pair.
 """
 
 from __future__ import annotations

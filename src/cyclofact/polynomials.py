@@ -1,7 +1,7 @@
 """Sparse exact polynomials: nonnegative-integer and rational.
 
 Two thin subclasses of one sparse ``{degree: coefficient}`` core, which
-holds the storage, the queries and ``+``, ``-`` and ``*``:
+holds the storage, the queries and ``+``:
 
 * ``NatPoly``  -- strictly positive integer coefficients.  Doubles as a
   factorization (coefficient at i = multiplicity of the atom q^i) and as an
@@ -9,8 +9,8 @@ holds the storage, the queries and ``+``, ``-`` and ``*``:
   streams tuples of (degree, count) pairs instead, the printed form;
   ``NatPoly(z)`` is the polynomial of one.
 * ``RatPoly``  -- rational coefficients, stored as Fractions: the minimal
-  polynomials of minimal-pair computations and of ``algebraic``, and the
-  output of the polynomial-string parser.  Adds the remainder ``mod``.
+  polynomials of minimal-pair computations and the output of the
+  polynomial-string parser.
 
 Equal coefficient maps compare equal across the two classes.
 
@@ -50,20 +50,19 @@ def _clean(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> dict[int, in
 
 
 class _SparsePoly:
-    """Shared storage, queries and arithmetic of the two wrappers.
+    """Shared storage, queries and ``+`` of the two wrappers.
 
-    Arithmetic builds the left operand's type, so the subclass's check hook
-    vets every result.
+    A sum builds the left operand's type, so the subclass's check hook vets
+    it.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
     _zero = 0
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         cleaned = _clean(terms)
         self._check(cleaned)
         self._terms = cleaned
-        self._hash: int | None = None
 
     @staticmethod
     def _check(terms: dict[int, int]) -> None:
@@ -127,25 +126,13 @@ class _SparsePoly:
     def __add__(self, other):
         return type(self)([*self._terms.items(), *other._terms.items()])
 
-    def __sub__(self, other):
-        return type(self)([*self._terms.items(), *((d, -c) for d, c in other._terms.items())])
-
-    def __mul__(self, other):
-        return type(self)(
-            (d1 + d2, c1 * c2)
-            for d1, c1 in self._terms.items()
-            for d2, c2 in other._terms.items()
-        )
-
     def __eq__(self, other) -> bool:
         if isinstance(other, _SparsePoly):
             return self._terms == other._terms
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -189,14 +176,6 @@ class NatPoly(_SparsePoly):
         """Sum of coefficients, i.e. the value at 1 (factorization length)."""
         return sum(self._terms.values())
 
-    def __pow__(self, n: int) -> "NatPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = NatPoly({0: 1})
-        for _ in range(n):
-            result = result * self
-        return result
-
 
 class RatPoly(_SparsePoly):
     """Sparse polynomial with rational coefficients, stored as Fractions."""
@@ -217,19 +196,6 @@ class RatPoly(_SparsePoly):
         for coeff in self._terms.values():
             ell = math.lcm(ell, coeff.denominator)
         return ell
-
-    def mod(self, divisor: "RatPoly") -> "RatPoly":
-        """Remainder of exact division by a nonzero polynomial."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial modulo zero")
-        ddeg = divisor.degree()
-        lead = divisor.coeff(ddeg)
-        rem = self
-        while rem and rem.degree() >= ddeg:
-            top = rem.degree()
-            factor = rem.coeff(top) / lead
-            rem -= RatPoly({top - ddeg + d: factor * c for d, c in divisor._terms.items()})
-        return rem
 
 
 _TERM_RE = re.compile(

@@ -1,8 +1,14 @@
-"""Exact sign arithmetic for a real root of a trusted minimal polynomial.
+"""The algebraic-valuation half of the paper, run by tests only.
+
+No CLI command reaches this module, so it lives beside the tests that check
+it and out of the shipped package; tests import it as ``algebraic``.  It
+holds the polynomial arithmetic only it needs (``poly_sub``, ``poly_mul``,
+``poly_pow`` and ``poly_mod``, built on the public constructors) and exact
+sign arithmetic for a real root of a trusted minimal polynomial.
 
 A root is designated by its (monic, degree >= 2) minimal polynomial together
 with an isolating rational interval.  Signs of polynomial expressions in the
-root are decided exactly: reduce with ``RatPoly.mod``, then bisect the
+root are decided exactly: reduce with ``poly_mod``, then bisect the
 isolating interval until the remainder's minimal-pair split pins the sign.
 Reduction to the zero polynomial means the expression vanishes at the root,
 so refinement only runs on expressions with a nonzero value and terminates.
@@ -16,7 +22,7 @@ On these signs rest the paper's two results for algebraic valuations.
 pair's two factorizations to its n-th power, whose elasticity is at least
 the ratio of their lengths to the n-th; ``elasticity_formula`` gives the
 finitely generated case's elasticity once an atom census over powers
-reduced by ``RatPoly.mod`` shows the atoms are exactly 1..root^deg.
+reduced by ``poly_mod`` shows the atoms are exactly 1..root^deg.
 """
 
 from __future__ import annotations
@@ -24,12 +30,53 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .minimal_pair import MinimalPair, _sign_split, minimal_pair
-from .polynomials import NatPoly, RatPoly
-from .semiring import Budget, OracleBudgetExceeded, RationalBase, length_stats
+from cyclofact.minimal_pair import MinimalPair, _sign_split, minimal_pair
+from cyclofact.polynomials import NatPoly, RatPoly
+from cyclofact.semiring import Budget, OracleBudgetExceeded, RationalBase, length_stats
 
 _REFINEMENT_CAP = 4096
 NODE_BUDGET = 100_000
+
+
+# ---------------------------------------------------------------------------
+# Polynomial arithmetic: each result is built as the left operand's class, so
+# that class's constructor vets it (a NatPoly difference must stay
+# nonnegative).
+# ---------------------------------------------------------------------------
+
+
+def poly_sub(f, g):
+    """f - g."""
+    return type(f)([*f.items(), *((d, -c) for d, c in g.items())])
+
+
+def poly_mul(f, g):
+    """f * g."""
+    return type(f)((d1 + d2, c1 * c2) for d1, c1 in f.items() for d2, c2 in g.items())
+
+
+def poly_pow(f: NatPoly, n: int) -> NatPoly:
+    """f to the n-th power, n >= 0."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = NatPoly({0: 1})
+    for _ in range(n):
+        result = poly_mul(result, f)
+    return result
+
+
+def poly_mod(f: RatPoly, divisor: RatPoly) -> RatPoly:
+    """Remainder of exact division by a nonzero polynomial."""
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial modulo zero")
+    ddeg = divisor.degree()
+    lead = divisor.coeff(ddeg)
+    rem = f
+    while rem and rem.degree() >= ddeg:
+        top = rem.degree()
+        factor = rem.coeff(top) / lead
+        rem = poly_sub(rem, RatPoly({top - ddeg + d: factor * c for d, c in divisor.items()}))
+    return rem
 
 
 class AlgebraicNumber:
@@ -85,7 +132,7 @@ class AlgebraicNumber:
 
     def sign_of(self, expr: RatPoly) -> int:
         """Exact sign of expr evaluated at the root: -1, 0 or +1."""
-        reduced = expr.mod(self.minpoly)
+        reduced = poly_mod(expr, self.minpoly)
         if reduced.is_zero:
             return 0
         for _ in range(_REFINEMENT_CAP):
@@ -139,7 +186,7 @@ def elasticity_lower_bound_sequence(
     if not (lp and lq):
         raise ValueError("a side of the minimal pair is empty: no positive root")
     low, high = (pair.p, pair.q0) if lp < lq else (pair.q0, pair.p)
-    presentation = low**n
+    presentation = poly_pow(low, n)
     bound = Fraction(high.length(), low.length()) ** n
     element = None
     exact = None
@@ -201,7 +248,7 @@ def _decomposes(
         while True:
             if rec(idx + 1, current):
                 return True
-            current -= step
+            current = poly_sub(current, step)
             if alpha.sign_of(current) < 0:
                 return False
 
@@ -243,7 +290,7 @@ def elasticity_formula(
             (),
             (),
         )
-    powers = [RatPoly({k: 1}).mod(minpoly) for k in range(atom_budget + 1)]
+    powers = [poly_mod(RatPoly({k: 1}), minpoly) for k in range(atom_budget + 1)]
     budget = Budget(NODE_BUDGET)
     atoms = list(range(n))
     decomposed: list[int] = []

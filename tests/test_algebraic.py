@@ -4,16 +4,18 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from cyclofact.algebraic import (
+from cyclofact.minimal_pair import minimal_pair, minimal_pair_of_rational
+from cyclofact.polynomials import NatPoly, RatPoly, parse_polynomial
+from cyclofact.semiring import Budget
+import algebraic
+from algebraic import (
     AlgebraicNumber,
     FormulaResult,
     LowerBoundStep,
     elasticity_formula,
     elasticity_lower_bound_sequence,
+    poly_mod,
 )
-from cyclofact.minimal_pair import minimal_pair_of_rational
-from cyclofact.polynomials import NatPoly, RatPoly, parse_polynomial
-from cyclofact.semiring import Budget
 
 
 def test_sqrt2_signs():
@@ -35,10 +37,10 @@ def test_sign_of_reduces_modulo_minpoly():
 
 def test_cbrt2_power_coordinates():
     m = parse_polynomial("X^3 - 2")
-    assert RatPoly({0: 1}).mod(m) == RatPoly({0: 1})
-    assert RatPoly({3: 1}).mod(m) == RatPoly({0: 2})  # alpha^3 = 2
-    assert RatPoly({4: 1}).mod(m) == RatPoly({1: 2})  # alpha^4 = 2 alpha
-    assert RatPoly({6: 1}).mod(m) == RatPoly({0: 4})  # alpha^6 = 4
+    assert poly_mod(RatPoly({0: 1}), m) == RatPoly({0: 1})
+    assert poly_mod(RatPoly({3: 1}), m) == RatPoly({0: 2})  # alpha^3 = 2
+    assert poly_mod(RatPoly({4: 1}), m) == RatPoly({1: 2})  # alpha^4 = 2 alpha
+    assert poly_mod(RatPoly({6: 1}), m) == RatPoly({0: 4})  # alpha^6 = 4
 
 
 def test_invalid_intervals_rejected():
@@ -152,3 +154,78 @@ def test_lower_bound_sequence_is_pinned(q):
     for n, exact in enumerate(LOWER_BOUND_PINS[q], start=1):
         step = elasticity_lower_bound_sequence(pair, q, n)
         assert step == LowerBoundStep(n, NatPoly({n: q.denominator**n}), q**n, F(q.numerator**n), exact)
+
+
+class TestLowerBoundSequence:
+    def test_examples(self):
+        pair = minimal_pair_of_rational(F(3, 2))
+        step1 = elasticity_lower_bound_sequence(pair, F(3, 2), 1)
+        assert step1.element == 3
+        assert step1.lower_bound == F(3, 2)
+        assert step1.exact_elasticity == F(3, 2)
+        step2 = elasticity_lower_bound_sequence(pair, F(3, 2), 2)
+        assert step2.element == 9
+        assert step2.lower_bound == F(9, 4)
+        assert step2.exact_elasticity == F(3)
+        assert step2.exact_elasticity >= step2.lower_bound
+
+    def test_degenerate_pair_rejected(self):
+        pair = minimal_pair_of_rational(F(1))  # X - 1: p(1) = q0(1) = 1
+        with pytest.raises(ValueError):
+            elasticity_lower_bound_sequence(pair, F(1), 1)
+        # no negative coefficient, so q0 is empty and no positive root exists
+        for text in ("X + 1", "X^2 + 3X + 2"):
+            pair = minimal_pair(parse_polynomial(text))
+            for alpha in (None, F(3, 2), F(2)):
+                with pytest.raises(ValueError, match="empty"):
+                    elasticity_lower_bound_sequence(pair, alpha, 2)
+        # alpha = 5/3 is no root of 3/2's pair: p(5/3) = 10/3 but q0(5/3) = 3,
+        # and the bound 9/4 would pass the exact elasticity 2 unnoticed.
+        with pytest.raises(ValueError, match="not a root"):
+            elasticity_lower_bound_sequence(minimal_pair_of_rational(F(3, 2)), F(5, 3), 2)
+
+    def test_bound_holds_for_several_bases(self):
+        for q in (F(3, 2), F(5, 3), F(5, 2), F(7, 4)):
+            pair = minimal_pair_of_rational(q)
+            for n in (1, 2, 3):
+                step = elasticity_lower_bound_sequence(pair, q, n)
+                assert step.exact_elasticity >= step.lower_bound
+                assert step.presentation.eval(q) == step.element
+
+    def test_integer_base_routed_as_ufm(self):
+        pair = minimal_pair_of_rational(F(2))
+        step = elasticity_lower_bound_sequence(pair, F(2), 1)
+        assert step.exact_elasticity == F(1)
+
+
+class TestElasticityFormula:
+    def test_cbrt2_free_on_three_generators(self):
+        res = elasticity_formula(parse_polynomial("X^3 - 2"), (F(1), F(2)), 6)
+        assert res.status == "inapplicable"
+        assert res.atom_exponents == (0, 1, 2)
+        assert 3 in res.decomposed_exponents
+
+    def test_sqrt2_ufm(self):
+        res = elasticity_formula(parse_polynomial("X^2 - 2"), (F(1), F(2)), 6)
+        assert res.status == "inapplicable"
+        assert res.atom_exponents == (0, 1)
+        assert "unique factorization" in res.reason
+
+    def test_golden_like_root_not_finitely_generated(self):
+        res = elasticity_formula(parse_polynomial("X^2 - 3X + 1"), (F(5, 2), F(3)), 5)
+        assert res.status == "inapplicable"
+        assert res.atom_exponents == (0, 1, 2, 3, 4, 5)
+        assert "not finitely generated" in res.reason
+
+    def test_root_below_one_is_inapplicable(self):
+        # the other root of X^2 - 3X + 1 lies in (0, 1)
+        res = elasticity_formula(parse_polynomial("X^2 - 3X + 1"), (F(1, 4), F(1, 2)), 5)
+        assert res.status == "inapplicable"
+        assert "not finitely generated" in res.reason
+
+    def test_budget_too_small_is_inconclusive(self, monkeypatch):
+        res = elasticity_formula(parse_polynomial("X^3 - 2"), (F(1), F(2)), 2)
+        assert res.status == "inconclusive"
+        monkeypatch.setattr(algebraic, "NODE_BUDGET", 3)
+        res = elasticity_formula(parse_polynomial("X^2 - 3X + 1"), (F(5, 2), F(3)), 5)
+        assert res.status == "inconclusive"

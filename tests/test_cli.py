@@ -729,8 +729,9 @@ def test_records_are_immutable_hashable_values():
 def test_package_import_is_empty_and_cli_loads_every_traced_module():
     # The package re-exports nothing, so importing it loads no submodule;
     # bench/tracer.py finds each traced module in sys.modules after
-    # importing cyclofact.cli alone.  The algebraic-valuation half stays off
-    # that path: elasticity loads neither algebraic nor minimal_pair.
+    # importing cyclofact.cli alone.  The package holds only what the CLI
+    # runs: that import loads every module in it.  Elasticity alone does not
+    # load minimal_pair.
     tracer = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import cyclofact; "
@@ -745,8 +746,9 @@ def test_package_import_is_empty_and_cli_loads_every_traced_module():
     bare, alone, loaded = json.loads(proc.stdout)
     assert bare == []
     assert {f"{tracer['PACKAGE']}.{m}" for m, _ in tracer["LAYERS"]} <= set(loaded)
-    assert "cyclofact.algebraic" not in loaded
-    assert not {"cyclofact.algebraic", "cyclofact.minimal_pair"} & set(alone)
+    shipped = {f"cyclofact.{path.stem}" for path in Path(cli.__file__).parent.glob("*.py")} - {"cyclofact.__init__"}
+    assert shipped <= set(loaded), shipped - set(loaded)
+    assert "cyclofact.minimal_pair" not in alone
     # The records are NamedTuples: no dataclasses, and so no inspect, at startup.
     assert not {"dataclasses", "inspect"} & set(loaded)
 

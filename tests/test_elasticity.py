@@ -10,9 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-import cyclofact.algebraic as algebraic
 import cyclofact.elasticity as elasticity
-from cyclofact.algebraic import elasticity_formula, elasticity_lower_bound_sequence
 from cyclofact.cli import write_scan_csv
 from cyclofact.elasticity import (
     ScanCapExceeded,
@@ -21,8 +19,7 @@ from cyclofact.elasticity import (
     forced_atom_shift,
     monoid_elements_up_to,
 )
-from cyclofact.minimal_pair import minimal_pair, minimal_pair_of_rational
-from cyclofact.polynomials import NatPoly, parse_polynomial
+from cyclofact.polynomials import NatPoly
 from cyclofact.rationals import format_rat, parse_rat
 from cyclofact.semiring import (
     DEFAULT_ORACLE_CAP,
@@ -54,81 +51,6 @@ def coprime_targets(smax=9):
         for t in range(1, s)
         if math.gcd(s, t) == 1
     ]
-
-
-class TestLowerBoundSequence:
-    def test_examples(self):
-        pair = minimal_pair_of_rational(F(3, 2))
-        step1 = elasticity_lower_bound_sequence(pair, F(3, 2), 1)
-        assert step1.element == 3
-        assert step1.lower_bound == F(3, 2)
-        assert step1.exact_elasticity == F(3, 2)
-        step2 = elasticity_lower_bound_sequence(pair, F(3, 2), 2)
-        assert step2.element == 9
-        assert step2.lower_bound == F(9, 4)
-        assert step2.exact_elasticity == F(3)
-        assert step2.exact_elasticity >= step2.lower_bound
-
-    def test_degenerate_pair_rejected(self):
-        pair = minimal_pair_of_rational(F(1))  # X - 1: p(1) = q0(1) = 1
-        with pytest.raises(ValueError):
-            elasticity_lower_bound_sequence(pair, F(1), 1)
-        # no negative coefficient, so q0 is empty and no positive root exists
-        for text in ("X + 1", "X^2 + 3X + 2"):
-            pair = minimal_pair(parse_polynomial(text))
-            for alpha in (None, F(3, 2), F(2)):
-                with pytest.raises(ValueError, match="empty"):
-                    elasticity_lower_bound_sequence(pair, alpha, 2)
-        # alpha = 5/3 is no root of 3/2's pair: p(5/3) = 10/3 but q0(5/3) = 3,
-        # and the bound 9/4 would pass the exact elasticity 2 unnoticed.
-        with pytest.raises(ValueError, match="not a root"):
-            elasticity_lower_bound_sequence(minimal_pair_of_rational(F(3, 2)), F(5, 3), 2)
-
-    def test_bound_holds_for_several_bases(self):
-        for q in (F(3, 2), F(5, 3), F(5, 2), F(7, 4)):
-            pair = minimal_pair_of_rational(q)
-            for n in (1, 2, 3):
-                step = elasticity_lower_bound_sequence(pair, q, n)
-                assert step.exact_elasticity >= step.lower_bound
-                assert step.presentation.eval(q) == step.element
-
-    def test_integer_base_routed_as_ufm(self):
-        pair = minimal_pair_of_rational(F(2))
-        step = elasticity_lower_bound_sequence(pair, F(2), 1)
-        assert step.exact_elasticity == F(1)
-
-
-class TestElasticityFormula:
-    def test_cbrt2_free_on_three_generators(self):
-        res = elasticity_formula(parse_polynomial("X^3 - 2"), (F(1), F(2)), 6)
-        assert res.status == "inapplicable"
-        assert res.atom_exponents == (0, 1, 2)
-        assert 3 in res.decomposed_exponents
-
-    def test_sqrt2_ufm(self):
-        res = elasticity_formula(parse_polynomial("X^2 - 2"), (F(1), F(2)), 6)
-        assert res.status == "inapplicable"
-        assert res.atom_exponents == (0, 1)
-        assert "unique factorization" in res.reason
-
-    def test_golden_like_root_not_finitely_generated(self):
-        res = elasticity_formula(parse_polynomial("X^2 - 3X + 1"), (F(5, 2), F(3)), 5)
-        assert res.status == "inapplicable"
-        assert res.atom_exponents == (0, 1, 2, 3, 4, 5)
-        assert "not finitely generated" in res.reason
-
-    def test_root_below_one_is_inapplicable(self):
-        # the other root of X^2 - 3X + 1 lies in (0, 1)
-        res = elasticity_formula(parse_polynomial("X^2 - 3X + 1"), (F(1, 4), F(1, 2)), 5)
-        assert res.status == "inapplicable"
-        assert "not finitely generated" in res.reason
-
-    def test_budget_too_small_is_inconclusive(self, monkeypatch):
-        res = elasticity_formula(parse_polynomial("X^3 - 2"), (F(1), F(2)), 2)
-        assert res.status == "inconclusive"
-        monkeypatch.setattr(algebraic, "NODE_BUDGET", 3)
-        res = elasticity_formula(parse_polynomial("X^2 - 3X + 1"), (F(5, 2), F(3)), 5)
-        assert res.status == "inconclusive"
 
 
 def fraction_forced_shift(q, beta, presentation, shifts):

@@ -12,6 +12,7 @@ from cyclofact.polynomials import (
     parse_polynomial,
 )
 from cyclofact.rationals import format_rat, parse_rat, simplest_in_open
+from algebraic import poly_mod, poly_mul, poly_sub
 
 
 def test_eval_examples():
@@ -54,7 +55,7 @@ rationals = st.fractions(
 @given(sparse_int_polys, sparse_int_polys, rationals)
 def test_eval_is_semiring_homomorphism(f, g, x):
     assert (f + g).eval(x) == f.eval(x) + g.eval(x)
-    assert (f * g).eval(x) == f.eval(x) * g.eval(x)
+    assert poly_mul(f, g).eval(x) == f.eval(x) * g.eval(x)
 
 
 def eval_reference(f, x) -> F:
@@ -172,7 +173,7 @@ def test_constructor_contract():
     # Pairs may repeat a degree: they merge, and a sum of zero drops the degree.
     assert list(NatPoly([(3, 1), (0, 2), (3, 4), (0, 1)]).items()) == [(0, 3), (3, 5)]
     assert list((NatPoly({0: 1, 2: 1}) + NatPoly({2: 3, 5: 1})).items()) == [(0, 1), (2, 4), (5, 1)]
-    assert list((RatPoly({1: 2, 3: 1}) - RatPoly({1: 2})).items()) == [(3, 1)]
+    assert list(poly_sub(RatPoly({1: 2, 3: 1}), RatPoly({1: 2})).items()) == [(3, 1)]
     assert list(parse_polynomial("X^2 + 3 - X^2 + 2X + 1/2").items()) == [(0, F(7, 2)), (1, 2)]
     assert parse_polynomial("X - X").is_zero
 
@@ -214,9 +215,9 @@ def test_parse_polynomial():
 
 def test_ratpoly_mod():
     m = parse_polynomial("X^2 - 3X + 1")
-    r = RatPoly({3: F(1)}).mod(m)  # X^3 = (X+3)m + 8X - 3
+    r = poly_mod(RatPoly({3: F(1)}), m)  # X^3 = (X+3)m + 8X - 3
     assert r.terms == {1: F(8), 0: F(-3)}
-    assert RatPoly({2: F(1), 1: F(-3), 0: F(1)}).mod(m).is_zero
+    assert poly_mod(RatPoly({2: F(1), 1: F(-3), 0: F(1)}), m).is_zero
 
 
 def ratpoly_mod_reference(f: RatPoly, divisor: RatPoly) -> RatPoly:
@@ -253,9 +254,9 @@ sparse_rat_polys = st.dictionaries(
 def test_ratpoly_mod_matches_reference(f, divisor):
     if divisor.is_zero:
         with pytest.raises(ZeroDivisionError):
-            f.mod(divisor)
+            poly_mod(f, divisor)
         return
-    r = f.mod(divisor)
+    r = poly_mod(f, divisor)
     assert r == ratpoly_mod_reference(f, divisor)
     assert r.is_zero or r.degree() < divisor.degree()
     assert all(type(c) is F for c in r.terms.values())
@@ -268,11 +269,11 @@ def test_ratpoly_coefficients_read_back_as_fractions():
     assert type(p.coeff(0)) is F and type(p.coeff(1)) is F
     assert p.coeff(1) == 0
     doubled = RatPoly({d: 2 * c for d, c in p.terms.items()})
-    for q in (p + p, p - RatPoly({0: 1}), p * p, RatPoly() - p, doubled, RatPoly(NatPoly({1: 4}).terms)):
+    for q in (p + p, poly_sub(p, RatPoly({0: 1})), poly_mul(p, p), poly_sub(RatPoly(), p), doubled, RatPoly(NatPoly({1: 4}).terms)):
         assert all(type(c) is F for c in q.terms.values())
     assert all(type(c) is F for c in parse_polynomial("X^2 - 3X + 1").terms.values())
     assert RatPoly([[0, F(1, 2)], [1, 3]]) == RatPoly({0: F(1, 2), 1: 3})
-    assert (p - p).is_zero
+    assert poly_sub(p, p).is_zero
 
 
 def test_equal_coefficient_maps_compare_equal_across_classes():
@@ -287,9 +288,9 @@ def test_equal_coefficient_maps_compare_equal_across_classes():
 
 def test_arithmetic_builds_the_left_operands_class():
     nat, rat = NatPoly({1: 2}), RatPoly({0: -1})
-    assert type(nat + nat) is NatPoly and type(nat * nat) is NatPoly
-    assert type(rat + nat) is RatPoly and type(rat - nat) is RatPoly
-    assert NatPoly({0: 3, 1: 1}) - NatPoly({0: 1}) == NatPoly({0: 2, 1: 1})
+    assert type(nat + nat) is NatPoly and type(poly_mul(nat, nat)) is NatPoly
+    assert type(rat + nat) is RatPoly and type(poly_sub(rat, nat)) is RatPoly
+    assert poly_sub(NatPoly({0: 3, 1: 1}), NatPoly({0: 1})) == NatPoly({0: 2, 1: 1})
     with pytest.raises(ValueError):
-        NatPoly() - nat  # a NatPoly cannot hold negative coefficients
-    assert RatPoly() - rat == RatPoly({0: 1})
+        poly_sub(NatPoly(), nat)  # a NatPoly cannot hold negative coefficients
+    assert poly_sub(RatPoly(), rat) == RatPoly({0: 1})
