@@ -99,9 +99,9 @@ def _default_oracle_cap() -> int:
     return cap
 
 
-def _base_for(q: Fraction, flag: str = "--q") -> RationalBase:
+def _base_for(q: Fraction) -> RationalBase:
     if q <= 1:
-        raise CliError(f"{flag}: factorization commands require q > 1, got {format_rat(q)}")
+        raise CliError(f"--q: factorization commands require q > 1, got {format_rat(q)}")
     return RationalBase.from_rational(q)
 
 

@@ -276,20 +276,6 @@ def down_normal_form(base: RationalBase, z: NatPoly) -> NatPoly:
     return NatPoly(terms)
 
 
-class Budget:
-    """A count of search states; spending past it raises OracleBudgetExceeded."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, cap: int):
-        self.left = cap
-
-    def spend(self, amount: int = 1) -> None:
-        self.left -= amount
-        if self.left < 0:
-            raise OracleBudgetExceeded()
-
-
 def iter_factorizations(
     base: RationalBase, x: Fraction, cap: int = DEFAULT_ORACLE_CAP
 ) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -300,11 +286,13 @@ def iter_factorizations(
     The search tree's nodes are the prefixes n_0 ... n_i of the digit
     strings of the module docstring's branching up carry, the empty root
     included.  A forward pass keeps each level's distinct states v with the
-    number of paths to them and charges that count per child edge, so the
-    budget counts tree nodes, all before the first yield:
+    number of paths to them.  The budget counts tree nodes: the root once,
+    then each state its path count times its digit count, read off its
+    digit range before its children are found, all before the first yield:
     OracleBudgetExceeded once more than cap are needed.  A backward pass
-    builds each state's digit suffixes once for all its parents; the
-    root's come in the module docstring's print order.
+    builds each state's digit suffixes as printed tuples, once for all its
+    parents, nonzero digits ascending and then 0; the root's come in the
+    module docstring's print order.
     For x outside the monoid the stream is empty; x = 0 yields the empty
     factorization ().
     """
@@ -324,37 +312,34 @@ def iter_factorizations(
     if top < 0 or pow(b, top, den):
         return
     inverse = pow(den, -1, a)
-    budget = Budget(cap)
-    budget.spend()
-    # levels[i]: each state v of level i -> its ((i, digit) or None for 0,
-    # child state) edges; below: each next-level state -> its path count.
-    levels, below = [], {num: 1}
-    for level in range(top):
-        edges, paths, below = {}, below, {}
-        for v, count in paths.items():
-            edges[v] = steps = []
+    left = cap - 1  # the root
+    if left < 0:
+        raise OracleBudgetExceeded()
+    # levels[i]: each state v of level i -> its path count.
+    levels = [{num: 1}]
+    for _ in range(top):
+        below = {}
+        for v, count in levels[-1].items():
             first = v * inverse % a
+            left -= count * ((v // den - first) // a + 1)
+            if left < 0:
+                raise OracleBudgetExceeded()
             for n in range(first, v // den + 1, a):
                 child = (v - n * den) // a * b
-                budget.spend(count)
                 below[child] = below.get(child, 0) + count
-                steps.append(((level, n) if n else None, child))
+        levels.append(below)
+    suffixes = {v: [((top, v // den),) if v else ()] for v in levels.pop()}
+    for level in reversed(range(top)):
+        below, suffixes = suffixes, {}
+        for v in levels.pop():
+            first = v * inverse % a
+            suffixes[v] = rests = []
+            for n in range(first or a, v // den + 1, a):
+                head = ((level, n),)
+                rests += [head + rest for rest in below[(v - n * den) // a * b]]
             if not first:  # the zero digit goes last: print order
-                steps.append(steps.pop(0))
-        levels.append(edges)
-    # Suffixes are linked (pair, rest) cells, rest None at the end.
-    suffixes = {v: [((top, v // den), None) if v else None] for v in below}
-    while levels:
-        suffixes = {
-            v: [(pair, rest) if pair else rest for pair, child in steps for rest in suffixes[child]]
-            for v, steps in levels.pop().items()
-        }
-    for rest in suffixes[num]:
-        pairs = []
-        while rest:
-            pair, rest = rest
-            pairs.append(pair)
-        yield tuple(pairs)
+                rests += below[v // a * b]
+    yield from suffixes[num]
 
 
 class LengthStats(NamedTuple):
@@ -382,8 +367,8 @@ def length_stats(
     min comes from the membership witness, which is already the up normal
     form, max from its down normal form.  The full length set (when
     requested) is the progression between them with step a-b, proved in the
-    module docstring; it spends one state of a cap-sized Budget per length,
-    so cap bounds the output.
+    module docstring; it raises OracleBudgetExceeded when that is more than
+    cap lengths, so cap bounds the output.
     """
     x = Fraction(x)
     if x <= 0:
@@ -396,7 +381,8 @@ def length_stats(
     lengths: Optional[tuple[int, ...]] = None
     if want_full_set:
         gap = base.a - base.b
-        Budget(cap).spend((max_len - min_len) // gap + 1)
+        if (max_len - min_len) // gap + 1 > cap:
+            raise OracleBudgetExceeded()
         lengths = tuple(range(min_len, max_len + 1, gap))
     return LengthStats(min_len, max_len, minimum, lengths)
 

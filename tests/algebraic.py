@@ -32,7 +32,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from cyclofact.minimal_pair import MinimalPair, _sign_split, minimal_pair
 from cyclofact.polynomials import NatPoly, RatPoly
-from cyclofact.semiring import Budget, OracleBudgetExceeded, RationalBase, length_stats
+from cyclofact.semiring import OracleBudgetExceeded, RationalBase, length_stats
+from test_semiring import Budget
 
 _REFINEMENT_CAP = 4096
 NODE_BUDGET = 100_000

@@ -6,7 +6,6 @@ from hypothesis import given
 
 from cyclofact.minimal_pair import minimal_pair, minimal_pair_of_rational
 from cyclofact.polynomials import NatPoly, RatPoly, parse_polynomial
-from cyclofact.semiring import Budget
 import algebraic
 from algebraic import (
     AlgebraicNumber,
@@ -16,6 +15,7 @@ from algebraic import (
     elasticity_lower_bound_sequence,
     poly_mod,
 )
+from test_semiring import Budget
 
 
 def test_sqrt2_signs():

@@ -298,8 +298,10 @@ def test_huge_antiprime_bound_exits_2_before_building_the_ladder(argv, message):
 
 def test_enumeration_budget_is_charged_per_child():
     # Level 0 of 10^12 at q = 3/2 admits about 3*10^11 digits, and that of
-    # 3^40 about 4*10^18: a search that built a whole level before charging
-    # it would never get to the cap of 1000.
+    # 3^40 about 4*10^18.  Each state is charged its path count times its
+    # digit count, from its digit range's bounds, before its children are
+    # built: a search that built a whole level before charging it would
+    # never get to the cap of 1000.
     for value in (10**12, 3**40):
         proc, elapsed = run_limited(
             ("factorize", "--q", "3/2", "--value", str(value), "--enumerate", "--oracle-cap", "1000"), 2**31

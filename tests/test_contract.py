@@ -21,9 +21,9 @@ PINS = {
     "construct-elasticity": ("9af3455d43cf16bf", "f0b405e9550a62d5", 3523, 9240),
     "enumerate": ("00c5d1a4204f7ba4", "267c738c798219bd", 440, 1440),
     "member": ("3112b4d747abfb7a", "ddc699304a25cf3f", 220, 276),
-    "antiprime": ("9b63c2b000b5dc88", "af4aece430642229", 84, 135),
+    "antiprime": ("9b63c2b000b5dc88", "109fa9d273dc03d6", 84, 165),
     "elasticity-scan": ("d509c2af2229fb44", "c4b2f507a645885b", 75, 126),
-    "omega-interval": ("fcec4f52dbd3e026", "d9fb8c1db6bec706", 20, 32),
+    "omega-interval": ("4b525f609f69809d", "65974719555b32e6", 60, 88),
     "minimal-pair": ("01316e7072e5e2a5", "5132c3c30be2c187", 14, 22),
     "parser": ("ec526036a29d5c92", "91b814d611d6a9a1", 33, 130),
     "exit-2": ("e3b0c44298fc1c14", "6adf964881ae5ab1", 0, 4),
@@ -97,7 +97,9 @@ BIG_VALUES = [str(3**2000), f"{3**2000 + 1}/{2**40}", str(2**4000 - 1)]  # 3,170
 POLYNOMIALS = [["X^2 - 3X + 1"], ["X^2 - X - 1"], ["X^3 - 2"], ["X^3 - 3X^2 + 1"], ["X - 3/2"], ["X + 1"], ["X^2 + 1"]]
 POLYNOMIALS += [["2X^2 - 1"], ["X^2 - 2X + 1"], ["X^2 - 2", "--rational", "3/2"], [""], ["X^"], ["Y - 2"]]
 RATIONALS = ["3/2", "2", "1", "2/3", "13/7", "1001/1000", "0", "-3/2", "x/y"]
+# The bench's conductors c, at q = (c+1)/c, follow the first four.
 OMEGA_BASES = [F(3, 2), F(4, 3), F(7, 5), F(101, 100)]
+OMEGA_BASES += [F(c + 1, c) for c in (10, 30, 300, 1000, 3000, 10**4, 3 * 10**4, 10**5)]
 
 FAMILIES = {
     "construct-elasticity": [
@@ -114,7 +116,7 @@ FAMILIES = {
     + [["member", "--q", q, "--value", v] for q in BASES for v in BIG_VALUES],
     "antiprime": [
         ["antiprime", "--q", q, "--k", str(k), "--K", str(big_k)]
-        for q in ("2/3", "3/4", "9/10", "99/100", "999/1000", "5/7", "13/17", "1", "3/2")
+        for q in ("2/3", "3/4", "9/10", "99/100", "999/1000", "5/7", "13/17", "1", "3/2", "1/2", "1/5")
         for k in (0, 1, 3) for big_k in (0, 1, 2, 5, 10)
     ],
     # Complete, partial (cut by the cap) and empty (below 1); 3, 1 and -1 are refused.

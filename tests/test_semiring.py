@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 
 from cyclofact.polynomials import NatPoly
 from cyclofact.semiring import (
-    Budget,
     NotInMonoidError,
     OracleBudgetExceeded,
     RationalBase,
@@ -95,6 +94,20 @@ def _rungs(a, b, levels):
 def _steps(a, t, weight, inverse):
     """(digit, next residual) for every digit t admits below the top, smallest first."""
     return ((n, (t - n * weight) // a) for n in range(t % a * inverse % a, t // weight + 1, a))
+
+
+class Budget:
+    """A count of search states; spending past it raises OracleBudgetExceeded."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, cap: int):
+        self.left = cap
+
+    def spend(self, amount: int = 1) -> None:
+        self.left -= amount
+        if self.left < 0:
+            raise OracleBudgetExceeded()
 
 
 def enumerate_length_set_dp(base, x, cap=10**6):
@@ -538,7 +551,9 @@ class TestEnumeration:
     def test_exact_state_counts(self):
         # (base, x, states of the length-set DP, states of the full search):
         # each oracle succeeds with exactly that budget and fails with one less.
+        # x = 1 is below q, so its search is the root alone (top = 0).
         for base, x, dp_states, search_states in (
+            (B32, F(1), 1, 1),
             (B32, F(9), 30, 36),
             (B32, F(81), 632, 40072),
             (B32, F(339, 32), 25, 21),
