@@ -111,10 +111,13 @@ def forced_atom_shift(
     (b/a)^g < 1 and fixed point rho* = a^g/(a^g - b^g), so f(x) lies between
     x and rho*.  If rho and rho* both lie in the interval I_g, so does every
     later rho, and every later gap is g (``_settled_gap`` finds the one g
-    whose rho* can lie in I_g; 8/5 and 21/13 have none).  The j atoms left
-    then sit at n+g, ..., n+jg, and the value's numerator over b^(n+jg) is
-    v b^(gj) + sum_(i=1..j) a^(n+ig) b^(g(j-i))
-    = v b^(gj) + a^(n+g) (a^(gj) - b^(gj)) / (a^g - b^g).
+    whose rho* can lie in I_g; 8/5 and 21/13 have none), so the rest are
+    settled once the gap just taken is g.  With v/b^n the value before the
+    atom just found at q^n, it and the j atoms left sit at n, n+g, ..., n+jg,
+    and the numerator over b^(n+jg) is v b^(gj) + sum_(i=0..j) a^(n+ig)
+    b^(g(j-i)) = v b^(gj) + a^n (a^(g(j+1)) - b^(g(j+1))) / (a^g - b^g).
+    Every path leaves n on the last forced exponent (the degree, with none),
+    and the element is built over b^n.
     """
     if base.is_integer:
         raise ValueError("forced atoms require a non-integer base (q not an algebraic integer)")
@@ -128,33 +131,28 @@ def forced_atom_shift(
     a, b = base.a, base.b
     terms = presentation.terms
     forced: list[int] = []
-    n = presentation.degree() + 1
+    n = presentation.degree()
     # beta's denominator divides b^degree, so v = beta * b^n is an integer.
     v = beta.numerator * (b**n // beta.denominator)
     an = a**n
     g = _settled_gap(a, b)
     for left in reversed(range(shifts)):
-        while not an * (a - b) > v * b:
-            n += 1
-            an *= a
-            v *= b
+        while True:
+            n, an, v = n + 1, an * a, v * b
+            if an * (a - b) > v * b:
+                break
+        # The gap just taken is g (never, when g is None): the rest are settled.
+        if g and forced and n - forced[-1] == g:
+            ag, bg = a**g, b**g
+            settled = range(n, n + left * g + 1, g)
+            terms.update(dict.fromkeys(settled, 1))
+            forced.extend(settled)
+            v = v * bg**left + an * ((ag ** (left + 1) - bg ** (left + 1)) // (ag - bg))
+            n += left * g
+            break
         terms[n] = terms.get(n, 0) + 1
         v += an
         forced.append(n)
-        # rho = v/a^n lies in I_g: q^g(q-1) > rho, and rho >= q^(g-1)(q-1) for g > 1.
-        if g and v * b ** (g + 1) < an * a**g * (a - b) and (
-            g == 1 or v * b**g >= an * a ** (g - 1) * (a - b)
-        ):
-            ag, bg = a**g, b**g
-            settled = range(n + g, n + left * g + 1, g)
-            terms.update(dict.fromkeys(settled, 1))
-            forced.extend(settled)
-            v = v * bg**left + an * ag * ((ag**left - bg**left) // (ag - bg))
-            n += left * g
-            break
-        n += 1
-        an *= a
-        v *= b
     return ForcedShift(Fraction(v, b**n), NatPoly(terms), tuple(forced))
 
 

@@ -19,7 +19,7 @@ from cyclofact.cli import main
 # family -> (ok digest, rest digest, ok count, argvs); sha256 prefixes, e3b0c44298fc1c14 for no argv.
 PINS = {
     "construct-elasticity": ("9af3455d43cf16bf", "f0b405e9550a62d5", 3523, 9240),
-    "enumerate": ("00c5d1a4204f7ba4", "267c738c798219bd", 440, 1440),
+    "enumerate": ("018b962c6f5d2a6b", "7732eabaeaaca1ab", 468, 1496),
     "member": ("3112b4d747abfb7a", "ddc699304a25cf3f", 220, 276),
     "antiprime": ("9b63c2b000b5dc88", "109fa9d273dc03d6", 84, 165),
     "elasticity-scan": ("d509c2af2229fb44", "c4b2f507a645885b", 75, 126),
@@ -93,6 +93,15 @@ BASES = ["3/2", "5/3", "7/4", "5/2", "7/5", "8/5", "11/10", "13/6", "3", "2", "1
 # The bench's enumerated values; 339/32, 250/9, 457/16 and 121/10 have denominators b^k; 5 at q = 3; 0.
 VALUES = ["27", "54", "81", "75", "125", "49", "100", "64", "339/32", "250/9", "457/16", "121/10", "5", "0"]
 ELEMENTS = [["--q", q, "--value", v] for q in BASES for v in [*VALUES, "1", "9", "13/4", "1/2", "7/8", "-1"]]
+# The smallest --oracle-cap N on which factorize and lengths --enumerate answer, per value of
+# VALUES with N >= 2 (5 at q = 3 answers at cap 1, and so does 0 but for lengths, which refuses
+# it); the family holds caps N and N - 1.
+ENUMERATE_BOUNDARIES = {
+    ("3/2", "27"): (596, 23), ("3/2", "54"): (6584, 50), ("3/2", "81"): (40072, 77),
+    ("5/3", "75"): (1611, 34), ("5/3", "125"): (10626, 59), ("7/4", "49"): (149, 15), ("7/4", "100"): (1113, 30),
+    ("5/2", "125"): (1020, 41), ("7/5", "49"): (492, 19), ("8/5", "64"): (322, 18), ("3/2", "339/32"): (21, 2),
+    ("5/3", "250/9"): (91, 12), ("7/4", "457/16"): (36, 7), ("11/10", "121/10"): (78, 3),
+}
 BIG_VALUES = [str(3**2000), f"{3**2000 + 1}/{2**40}", str(2**4000 - 1)]  # 3,170 to 4,000 bits
 POLYNOMIALS = [["X^2 - 3X + 1"], ["X^2 - X - 1"], ["X^3 - 2"], ["X^3 - 3X^2 + 1"], ["X - 3/2"], ["X + 1"], ["X^2 + 1"]]
 POLYNOMIALS += [["2X^2 - 1"], ["X^2 - 2X + 1"], ["X^2 - 2", "--rational", "3/2"], [""], ["X^"], ["Y - 2"]]
@@ -111,6 +120,10 @@ FAMILIES = {
         [name, *element, "--enumerate", *cap]
         for name in ("factorize", "lengths") for element in ELEMENTS
         for cap in ([], ["--oracle-cap", "1"], ["--oracle-cap", "10"])
+    ] + [
+        [name, "--q", q, "--value", v, "--enumerate", "--oracle-cap", str(cap)]
+        for (q, v), caps in ENUMERATE_BOUNDARIES.items() for name, n in zip(("factorize", "lengths"), caps)
+        for cap in (n, n - 1)
     ],
     "member": [["member", *e] for e in ELEMENTS]
     + [["member", "--q", q, "--value", v] for q in BASES for v in BIG_VALUES],

@@ -1,9 +1,11 @@
 import io
 import json
 import math
+import time
 from fractions import Fraction
 from fractions import Fraction as F
 from itertools import islice
+from operator import itemgetter
 from typing import NamedTuple
 
 import hypothesis.strategies as st
@@ -41,6 +43,9 @@ SHIFT_BASES = [
     RationalBase(a, b)
     for a, b in ((3, 2), (5, 3), (7, 4), (5, 2), (7, 5), (11, 10), (13, 6), (9, 7), (8, 5), (21, 13))
 ]
+# Every coprime a/b with 2 <= b < a <= 30: 248 bases, 35 of which never settle
+# (8/5, 11/6, 13/12, 19/10, ...); the others settle at gaps up to 101.
+COPRIME_BASES = [RationalBase(a, b) for a in range(3, 31) for b in range(2, a) if math.gcd(a, b) == 1]
 GRID_BASES = [RationalBase(3, 2), RationalBase(5, 3), RationalBase(5, 2), RationalBase(7, 4)]
 
 
@@ -111,10 +116,19 @@ class TestForcedAtomShift:
         expected = fraction_forced_shift(base.q, beta, pres, shifts)
         assert (shift.element, shift.presentation, shift.forced_exponents) == expected
 
+    # A base of SHIFT_BASES with up to the materialization cap of shifts, or any coprime base with up to 300.
+    base_and_shifts = st.shared(
+        st.one_of(
+            st.tuples(st.sampled_from(SHIFT_BASES), st.integers(0, 2000)),
+            st.tuples(st.sampled_from(COPRIME_BASES), st.integers(0, 300)),
+        ),
+        key="base and shifts",
+    )
+
     @given(
-        st.sampled_from(SHIFT_BASES),
+        base_and_shifts.map(itemgetter(0)),
         st.dictionaries(st.integers(0, 8), st.integers(1, 12), min_size=1, max_size=5),
-        st.integers(0, 2000),
+        base_and_shifts.map(itemgetter(1)),
     )
     @example(RationalBase(11, 10), {0: 1}, 2000)  # the longest transient
     @example(RationalBase(21, 13), {3: 2}, 2000)  # never settles
@@ -125,6 +139,16 @@ class TestForcedAtomShift:
         shift = forced_atom_shift(base, beta, pres, shifts)
         expected = forced_atom_shift_walk(base, beta, pres, shifts)
         assert (shift.element, shift.presentation, shift.forced_exponents) == expected
+
+    def test_closed_form_takes_over_once_settled(self):
+        # At 11/10 the 2,000 atoms settle at gap 26 after a transient; placed
+        # one at a time they take over ten times as long.
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            forced_atom_shift(RationalBase(11, 10), F(1), NatPoly({0: 1}), 2000)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.25, f"2,000 forced atoms at 11/10 took {min(elapsed):.2f}s"
 
     def test_settled_gap_per_base(self):
         gaps = {base: elasticity._settled_gap(base.a, base.b) for base in SHIFT_BASES}
@@ -175,8 +199,8 @@ class TestForcedAtomShift:
     def test_element_is_in_lowest_terms_over_b_to_the_last_exponent(self, base):
         # After an atom at q^n the numerator over b^n is a^n plus a multiple
         # of b, so b^n is the reduced denominator.  That n is the last forced
-        # exponent, settled or not (8/5 and 21/13 leave the loop one level
-        # higher); with no atom the element is the start.
+        # exponent, settled or not, and the loop stops on it; with no atom
+        # the element is the start.
         for pres in (NatPoly({0: 1}), NatPoly({0: 5}), NatPoly({0: 1, 2: 1}), NatPoly({3: 2})):
             beta = pres.eval(base.q)
             for shifts in (1, 2, 7, 60, 2000):

@@ -693,7 +693,7 @@ class TestLengthStats:
         with pytest.raises(OracleBudgetExceeded):
             enumerate_length_set(B32, F(9), cap=6)
 
-    def test_supplied_presentation_skips_membership(self):
+    def test_min_factorization_is_the_up_normal_form(self):
         # The membership witness that length_stats reports is the up normal
         # form of every presentation of x.
         direct = length_stats(B32, F(9))
