@@ -26,11 +26,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--q", default="3/2")
     parser.add_argument("--bound", default="30")
-    parser.add_argument("--budget", type=int, default=10**6)
+    parser.add_argument("--budget", help="the CLI's --oracle-cap, passed on only when given")
     parser.add_argument("--out", help="optional CSV path")
     args = parser.parse_args()
 
-    argv = ["elasticity-scan", f"--q={args.q}", f"--bound={args.bound}", f"--oracle-cap={args.budget}"]
+    argv = ["elasticity-scan", f"--q={args.q}", f"--bound={args.bound}"]
+    if args.budget is not None:
+        argv.append(f"--oracle-cap={args.budget}")
     captured = io.StringIO()
     with contextlib.redirect_stdout(captured):
         code = cyclofact_main(argv)

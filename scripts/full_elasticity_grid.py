@@ -28,10 +28,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smax", type=int, default=9)
     parser.add_argument("--bases", nargs="+", default=["3/2", "5/3", "5/2"])
-    parser.add_argument("--scan-cap", type=int, default=200)
+    parser.add_argument("--scan-cap", help="the CLI's --scan-cap, passed on only when given")
     args = parser.parse_args()
 
     targets = [(s, t) for s in range(2, args.smax + 1) for t in range(1, s) if math.gcd(s, t) == 1]
+    cap = [] if args.scan_cap is None else [f"--scan-cap={args.scan_cap}"]
     failed = 0
     start = time.monotonic()
     for q in args.bases:
@@ -39,8 +40,7 @@ def main() -> int:
         for s, t in targets:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cyclofact_main(["construct-elasticity", f"--q={q}", f"--target={s}/{t}",
-                                       f"--scan-cap={args.scan_cap}"])
+                code = cyclofact_main(["construct-elasticity", f"--q={q}", f"--target={s}/{t}", *cap])
             if code:
                 failed += 1
                 print(f"  {s}/{t}: exit {code}, {json.loads(err.getvalue())['error']['type']}")

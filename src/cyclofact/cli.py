@@ -203,9 +203,7 @@ def write_scan_csv(scan, stream: TextIO) -> None:
     for value, low, high in scan.rows:
         tail = tails.get((low, high))
         if tail is None:
-            h = math.gcd(high, low)
-            ratio = str(high // h) if h == low else f"{high // h}/{low // h}"
-            tail = tails[low, high] = f"{low},{high},{ratio}\n"
+            tail = tails[low, high] = f"{low},{high},{format_rat(Fraction(high, low))}\n"
         g = math.gcd(value, scale)
         lines.append(f"{value // g},{scale // g},{tail}")
     status = "complete" if scan.complete else "partial"
@@ -402,9 +400,9 @@ def _parse_exact(name: str, argv: list[str]) -> Optional[argparse.Namespace]:
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one call (``sys.argv[1:]`` when ``argv`` is None); return its exit code.
 
-    When ``argv[0]`` names a subcommand and the rest is plain (see
-    ``_parse_exact``), no parser is built. Any other argv builds the whole
-    tree, so argparse writes every help text and usage error.
+    A plain argv (see ``_parse_exact``) and an unknown subcommand build no
+    parser; the latter's error is argparse's up to CPython 3.13.0, choices
+    quoted. Any other argv builds the whole tree, for help and usage errors.
     """
     # Certificates carry integers of thousands of digits, and the documents
     # must re-parse in the calling process: the limit stays lifted.
@@ -413,6 +411,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
+        if argv and argv[0] not in COMMANDS and not argv[0].startswith("-"):
+            choices = ", ".join(map(repr, COMMANDS))
+            raise CliError(f"argument subcommand: invalid choice: {argv[0]!r} (choose from {choices})")
         args = _parse_exact(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
         if args is None:
             args = build_parser().parse_args(argv)

@@ -90,18 +90,16 @@ def _settled_gap(a: int, b: int) -> Optional[int]:
     return g if g == 1 or a * bg >= (a - b) * (ag - bg) else None
 
 
-def forced_atom_shift(
-    base: RationalBase, beta: Fraction, presentation: NatPoly, shifts: int
-) -> ForcedShift:
-    """Add `shifts` forced atoms to beta, each bumping (min, max) by (1, 1).
+def forced_atom_shift(base: RationalBase, presentation: NatPoly, shifts: int) -> ForcedShift:
+    """Add `shifts` forced atoms to the presentation, each bumping (min, max) by (1, 1).
 
     The exponent of each added atom is the smallest n exceeding the degree
     of the current presentation with q^n(q-1) > current value; both checks
     are exact.  Exponents are strictly increasing, so the added atoms are
     pairwise distinct.
 
-    The loop runs on integers: value = v/b^n and q^n = a^n/b^n, so the
-    test is a^n*(a-b) > v*b.
+    The loop runs on integers from n = degree and v = sum c_i a^i b^(n-i):
+    value = v/b^n and q^n = a^n/b^n, so the test is a^n*(a-b) > v*b.
 
     Once the gap settles, the remaining atoms come in closed form.  After
     an atom at q^n, with value V = v/b^n, let rho = V/q^n = v/a^n.  The next
@@ -121,19 +119,15 @@ def forced_atom_shift(
     """
     if base.is_integer:
         raise ValueError("forced atoms require a non-integer base (q not an algebraic integer)")
-    beta = Fraction(beta)
-    if beta <= 0 or presentation.is_zero:
+    if presentation.is_zero:
         raise ValueError("forced shifts start from a nonzero element")
-    if presentation.eval(base.q) != beta:
-        raise ValueError("presentation does not evaluate to beta")
     if shifts < 0:
         raise ValueError("shift count must be nonnegative")
     a, b = base.a, base.b
     terms = presentation.terms
     forced: list[int] = []
     n = presentation.degree()
-    # beta's denominator divides b^degree, so v = beta * b^n is an integer.
-    v = beta.numerator * (b**n // beta.denominator)
+    v = sum(c * a**i * b ** (n - i) for i, c in terms.items())
     an = a**n
     g = _settled_gap(a, b)
     for left in reversed(range(shifts)):
@@ -273,7 +267,7 @@ def construct_elasticity(
         )
     log.append({"step": "select", **fields, "residue": 0, "element": str(n), "shift_count": c})
 
-    shifted = forced_atom_shift(base, Fraction(n), NatPoly({0: n}), c)
+    shifted = forced_atom_shift(base, NatPoly({0: n}), c)
     log.append(
         {
             "step": "shift",

@@ -113,7 +113,7 @@ def test_criterion_4_lower_bound_sequence():
 
 def test_criterion_5_forced_atom_shift():
     with criterion(5, "one forced shift of beta=3 at q=3/2: exponent 5, L = {3,4}"):
-        shift = forced_atom_shift(B32, F(3), NatPoly({0: 3}), 1)
+        shift = forced_atom_shift(B32, NatPoly({0: 3}), 1)
         assert shift.forced_exponents == (5,)
         lifted = {NatPoly(z) + NatPoly.atom(5) for z in iter_factorizations(B32, F(3), ORACLE_CAP)}
         actual = {NatPoly(z) for z in iter_factorizations(B32, shift.element, ORACLE_CAP)}

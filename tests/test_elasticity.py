@@ -112,7 +112,7 @@ class TestForcedAtomShift:
     def test_matches_fraction_loop(self, base, terms, shifts):
         pres = NatPoly(terms)
         beta = pres.eval(base.q)
-        shift = forced_atom_shift(base, beta, pres, shifts)
+        shift = forced_atom_shift(base, pres, shifts)
         expected = fraction_forced_shift(base.q, beta, pres, shifts)
         assert (shift.element, shift.presentation, shift.forced_exponents) == expected
 
@@ -136,7 +136,7 @@ class TestForcedAtomShift:
     def test_matches_the_per_atom_walk_up_to_the_materialization_cap(self, base, terms, shifts):
         pres = NatPoly(terms)
         beta = pres.eval(base.q)
-        shift = forced_atom_shift(base, beta, pres, shifts)
+        shift = forced_atom_shift(base, pres, shifts)
         expected = forced_atom_shift_walk(base, beta, pres, shifts)
         assert (shift.element, shift.presentation, shift.forced_exponents) == expected
 
@@ -146,7 +146,7 @@ class TestForcedAtomShift:
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
-            forced_atom_shift(RationalBase(11, 10), F(1), NatPoly({0: 1}), 2000)
+            forced_atom_shift(RationalBase(11, 10), NatPoly({0: 1}), 2000)
             elapsed.append(time.perf_counter() - start)
         assert min(elapsed) < 0.25, f"2,000 forced atoms at 11/10 took {min(elapsed):.2f}s"
 
@@ -158,12 +158,12 @@ class TestForcedAtomShift:
         }
         # Once settled, a long shift ends in steps of that gap.
         for base, g in gaps.items():
-            tail = forced_atom_shift(base, F(1), NatPoly({0: 1}), 300).forced_exponents[-50:]
+            tail = forced_atom_shift(base, NatPoly({0: 1}), 300).forced_exponents[-50:]
             steps = {y - x for x, y in zip(tail, tail[1:])}
             assert (steps == {g}) if g else (len(steps) > 1), base
 
     def test_single_shift_example(self):
-        shift = forced_atom_shift(B32, F(3), NatPoly({0: 3}), 1)
+        shift = forced_atom_shift(B32, NatPoly({0: 3}), 1)
         assert shift.forced_exponents == (5,)
         assert shift.element == F(339, 32)
         zs = {NatPoly(z) for z in iter_factorizations(B32, shift.element)}
@@ -175,13 +175,13 @@ class TestForcedAtomShift:
         assert stats.elasticity == F(4, 3)
 
     def test_zero_shifts_identity(self):
-        shift = forced_atom_shift(B32, F(3), NatPoly({0: 3}), 0)
+        shift = forced_atom_shift(B32, NatPoly({0: 3}), 0)
         assert shift.element == F(3)
         assert shift.presentation == NatPoly({0: 3})
         assert shift.forced_exponents == ()
 
     def test_six_shifts_from_nine(self):
-        shift = forced_atom_shift(B32, F(9), NatPoly({0: 9}), 6)
+        shift = forced_atom_shift(B32, NatPoly({0: 9}), 6)
         assert len(shift.forced_exponents) == 6
         assert len(set(shift.forced_exponents)) == 6
         stats = length_stats(B32, shift.element)
@@ -189,8 +189,8 @@ class TestForcedAtomShift:
         assert stats.elasticity == F(5, 3)
 
     def test_every_factorization_contains_the_forced_atom(self):
-        for beta, pres in ((F(3), NatPoly({0: 3})), (F(13, 4), NatPoly({0: 1, 2: 1}))):
-            shift = forced_atom_shift(B32, beta, pres, 1)
+        for pres in (NatPoly({0: 3}), NatPoly({0: 1, 2: 1})):
+            shift = forced_atom_shift(B32, pres, 1)
             n = shift.forced_exponents[0]
             for z in iter_factorizations(B32, shift.element):
                 assert NatPoly(z).coeff(n) >= 1
@@ -204,9 +204,9 @@ class TestForcedAtomShift:
         for pres in (NatPoly({0: 1}), NatPoly({0: 5}), NatPoly({0: 1, 2: 1}), NatPoly({3: 2})):
             beta = pres.eval(base.q)
             for shifts in (1, 2, 7, 60, 2000):
-                shift = forced_atom_shift(base, beta, pres, shifts)
+                shift = forced_atom_shift(base, pres, shifts)
                 assert shift.element.denominator == base.b ** shift.forced_exponents[-1]
-            assert forced_atom_shift(base, beta, pres, 0).element == beta
+            assert forced_atom_shift(base, pres, 0).element == beta
         for target in coprime_targets(11):
             try:
                 cert = construct_elasticity(base, target)
@@ -222,7 +222,15 @@ class TestForcedAtomShift:
 
     def test_integer_base_rejected(self):
         with pytest.raises(ValueError):
-            forced_atom_shift(RationalBase(2, 1), F(3), NatPoly({0: 3}), 1)
+            forced_atom_shift(RationalBase(2, 1), NatPoly({0: 3}), 1)
+
+    def test_zero_presentation_rejected(self):
+        with pytest.raises(ValueError, match="forced shifts start from a nonzero element"):
+            forced_atom_shift(B32, NatPoly(), 1)
+
+    def test_negative_shift_count_rejected(self):
+        with pytest.raises(ValueError, match="shift count must be nonnegative"):
+            forced_atom_shift(B32, NatPoly({0: 3}), -1)
 
 
 class TestConstructElasticity:
