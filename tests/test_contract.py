@@ -22,7 +22,7 @@ PINS = {
     "enumerate": ("018b962c6f5d2a6b", "7732eabaeaaca1ab", 468, 1496),
     "member": ("3112b4d747abfb7a", "ddc699304a25cf3f", 220, 276),
     "antiprime": ("9b63c2b000b5dc88", "109fa9d273dc03d6", 84, 165),
-    "elasticity-scan": ("d509c2af2229fb44", "c4b2f507a645885b", 75, 126),
+    "elasticity-scan": ("d7672a8d392c0bb2", "c4b2f507a645885b", 88, 139),
     "omega-interval": ("4b525f609f69809d", "65974719555b32e6", 60, 88),
     "minimal-pair": ("01316e7072e5e2a5", "5132c3c30be2c187", 14, 22),
     "parser": ("ec526036a29d5c92", "91b814d611d6a9a1", 33, 130),
@@ -109,6 +109,8 @@ RATIONALS = ["3/2", "2", "1", "2/3", "13/7", "1001/1000", "0", "-3/2", "x/y"]
 # The bench's conductors c, at q = (c+1)/c, follow the first four.
 OMEGA_BASES = [F(3, 2), F(4, 3), F(7, 5), F(101, 100)]
 OMEGA_BASES += [F(c + 1, c) for c in (10, 30, 300, 1000, 3000, 10**4, 3 * 10**4, 10**5)]
+# The bench's scan bases at their largest nominal bounds (about 1,200 elements each).
+SCAN_BOUNDS = {"3/2": "31", "5/3": "28", "7/4": "27", "5/2": "211/2", "7/5": "31/2", "8/5": "21"}
 
 FAMILIES = {
     "construct-elasticity": [
@@ -132,12 +134,16 @@ FAMILIES = {
         for q in ("2/3", "3/4", "9/10", "99/100", "999/1000", "5/7", "13/17", "1", "3/2", "1/2", "1/5")
         for k in (0, 1, 3) for big_k in (0, 1, 2, 5, 10)
     ],
-    # Complete, partial (cut by the cap) and empty (below 1); 3, 1 and -1 are refused.
+    # Complete, partial (cut by the cap) and empty (below 1); 3, 1 and -1 are refused. Then the
+    # bench's scans: SCAN_BOUNDS complete and cut at 50, and its largest, 3/2 up to 80.
     "elasticity-scan": [
         ["elasticity-scan", "--q", q, "--bound", bound, *cap]
         for q in ("3/2", "5/3", "7/4", "7/5", "11/10", "3", "1") for bound in ("-1", "0", "1/2", "1", "13/2", "10")
         for cap in ([], ["--oracle-cap", "1"], ["--oracle-cap", "50"])
-    ],
+    ] + [
+        ["elasticity-scan", "--q", q, "--bound", bound, *cap]
+        for q, bound in SCAN_BOUNDS.items() for cap in ([], ["--oracle-cap", "50"])
+    ] + [["elasticity-scan", "--q", "3/2", "--bound", "80"]],
     # Atoms 1, q and three between, one below 1 and one above q; then q out of (1, 2).
     "omega-interval": [
         ["omega-interval", "--q", rat(q), "--atom", rat(1 + j * (q - 1) / 4)] for q in OMEGA_BASES for j in range(-1, 6)
