@@ -30,7 +30,7 @@ from .omega import (
     omega_lower_bound,
 )
 from .polynomials import parse_polynomial
-from .rationals import format_rat, parse_rat
+from .rationals import format_rat, format_ratio, parse_rat
 from .semiring import (
     DEFAULT_ORACLE_CAP,
     NotInMonoidError,
@@ -193,19 +193,25 @@ def _cmd_construct_elasticity(args) -> dict:
 def write_scan_csv(scan, stream: TextIO) -> None:
     """Write an elasticity scan as CSV rows followed by its manifest row.
 
-    Many rows share a (min_len, max_len) pair, so each pair's
-    "min,max,elasticity" text is formatted once per scan; only the value's
-    reduction runs per row.
+    Rows repeat few pieces of text, so each is formatted once per scan, from
+    integers: a (min_len, max_len) pair's "min,max,elasticity" tail, and the
+    ",den," between a value's numerator and its tail for each gcd of a value
+    with the scale. A row costs one gcd, one integer division and the decimal
+    text of its numerator.
     """
     scale = scan.scale
-    tails = {}
+    tails, dens = {}, {}
     lines = ["value_num,value_den,min_len,max_len,elasticity\n"]
     for value, low, high in scan.rows:
         tail = tails.get((low, high))
         if tail is None:
-            tail = tails[low, high] = f"{low},{high},{format_rat(Fraction(high, low))}\n"
+            g = math.gcd(high, low)
+            tail = tails[low, high] = f"{low},{high},{format_ratio(high // g, low // g)}\n"
         g = math.gcd(value, scale)
-        lines.append(f"{value // g},{scale // g},{tail}")
+        den = dens.get(g)
+        if den is None:
+            den = dens[g] = f",{scale // g},"
+        lines.append(f"{value // g}{den}{tail}")
     status = "complete" if scan.complete else "partial"
     lines.append(f"# manifest: {status} rows={len(scan.rows)}\n")
     stream.write("".join(lines))

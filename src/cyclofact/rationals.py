@@ -28,11 +28,16 @@ def parse_rat(text: str) -> Fraction:
     return Fraction(int(s))
 
 
+def format_ratio(num: int, den: int) -> str:
+    """Serialize num/den, already in lowest terms with den > 0, as ``format_rat`` does."""
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
+
+
 def format_rat(x: Fraction) -> str:
     """Serialize a rational as "num/den", omitting "/den" when den == 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return format_ratio(x.numerator, x.denominator)
 
 
 def simplest_in_open(lo: Fraction, hi: Fraction) -> Fraction:

@@ -1,10 +1,11 @@
 from fractions import Fraction as F
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from cyclofact.rationals import simplest_in_open
+from cyclofact.rationals import format_rat, format_ratio, simplest_in_open
 
 
 def mediant_walk(lo, hi):
@@ -67,3 +68,20 @@ def test_empty_or_negative_interval_rejected():
         simplest_in_open(F(1), F(1))
     with pytest.raises(ValueError):
         simplest_in_open(F(-1), F(1))
+
+
+BIG = 10**3000
+
+
+@given(st.integers(-BIG, BIG), st.one_of(st.integers(1, 12), st.integers(1, BIG)))
+@example(0, 1)
+@example(-7, 1)
+@example(-BIG, 1)
+@example(-3, 2)
+@example(BIG + 1, BIG)
+@settings(max_examples=300, deadline=None)
+def test_format_ratio_matches_format_rat(num, den):
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    # format_rat calls format_ratio, so Fraction's own str is the independent side.
+    assert format_ratio(num, den) == format_rat(F(num, den)) == str(F(num, den))
