@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from cyclofact.cli import main as cyclofact_main
+from cyclofact.cli import main as cyclofact_main, quiet_when_stdout_closes
 
 
 def main() -> int:
@@ -63,4 +63,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(quiet_when_stdout_closes(main))

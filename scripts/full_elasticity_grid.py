@@ -21,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
-from cyclofact.cli import main as cyclofact_main
+from cyclofact.cli import main as cyclofact_main, quiet_when_stdout_closes
 
 
 def main() -> int:
@@ -59,4 +59,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(quiet_when_stdout_closes(main))

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 from .elasticity import (
     DEFAULT_SCAN_CAP,
@@ -403,19 +403,45 @@ def _parse_exact(name: str, argv: list[str]) -> Optional[argparse.Namespace]:
     return argparse.Namespace(**args, subcommand=name)
 
 
+def quiet_when_stdout_closes(run: Callable[[], int]) -> int:
+    """``run()``, then a flush of stdout; a reader that went away ends the call with exit 0.
+
+    Help is flushed too: argparse leaves it in the buffer and raises
+    SystemExit. On a closed pipe, fd 1 is pointed at os.devnull, so the
+    interpreter's own flush at exit writes nowhere and prints nothing on
+    stderr. Any other exception propagates unflushed, traceback and all.
+    """
+    try:
+        try:
+            code = run()
+        except SystemExit:
+            sys.stdout.flush()
+            raise
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one call (``sys.argv[1:]`` when ``argv`` is None); return its exit code.
 
     A plain argv (see ``_parse_exact``) and an unknown subcommand build no
     parser; the latter's error is argparse's up to CPython 3.13.0, choices
     quoted. Any other argv builds the whole tree, for help and usage errors.
+    A closed stdout ends the call quietly (``quiet_when_stdout_closes``).
     """
     # Certificates carry integers of thousands of digits, and the documents
     # must re-parse in the calling process: the limit stays lifted.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    if argv is None:
-        argv = sys.argv[1:]
+    return quiet_when_stdout_closes(lambda: _run(sys.argv[1:] if argv is None else argv))
+
+
+def _run(argv: list[str]) -> int:
     try:
         if argv and argv[0] not in COMMANDS and not argv[0].startswith("-"):
             choices = ", ".join(map(repr, COMMANDS))
