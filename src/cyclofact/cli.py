@@ -438,7 +438,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     # must re-parse in the calling process: the limit stays lifted.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    return quiet_when_stdout_closes(lambda: _run(sys.argv[1:] if argv is None else argv))
+    if argv is None:
+        argv = sys.argv[1:]
+    return quiet_when_stdout_closes(lambda: _run(argv))
 
 
 def _run(argv: list[str]) -> int:

@@ -766,29 +766,35 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["member"] is True
 
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-# Each run's stdout is a pipe whose reader is already gone. Buffered, a short
-# output fails only at the flush at exit; a long one (23 MB at bound 400), and
-# any output unbuffered, fails at the write itself.
+# Each run, from the repository root, writes to a pipe whose reader is
+# already gone. Buffered, a short output fails only at the flush at exit; a
+# long one (23 MB at bound 400), and any output unbuffered, fails at the write.
 CLOSED_PIPE_RUNS = [
     ("-m", "cyclofact.cli", "member", "--q", "3/2", "--value", "9"),
     ("-m", "cyclofact.cli", "elasticity-scan", "--q", "3/2", "--bound", "20"),
     ("-m", "cyclofact.cli", "elasticity-scan", "--q", "3/2", "--bound", "400"),
     ("-m", "cyclofact.cli", "member", "--help"),
     ("-u", "-m", "cyclofact.cli", "member", "--q", "3/2", "--value", "9"),
-    (str(SCRIPTS / "density_scan.py"), "--q", "3/2", "--bound", "20"),
-    (str(SCRIPTS / "full_elasticity_grid.py"), "--smax", "3"),
+    ("scripts/density_scan.py", "--q", "3/2", "--bound", "20"),
+    ("scripts/full_elasticity_grid.py", "--smax", "3"),
 ]
 
 
 @pytest.mark.parametrize("args", CLOSED_PIPE_RUNS, ids=" ".join)
 def test_a_closed_stdout_ends_the_run_quietly(args):
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run([sys.executable, *args], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        proc = subprocess.run(
+            [sys.executable, *args],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            cwd=Path(__file__).resolve().parents[1],
+            env=env,
+            timeout=120,
+        )
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr.decode()) == (EXIT_OK, "")
