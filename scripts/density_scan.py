@@ -4,8 +4,9 @@
 Runs `cyclofact elasticity-scan` in-process on every monoid element up to a
 value bound and reports how the observed elasticities fill out [1, bound on
 rho].  Useful for eyeballing the density of the elasticity set; --out
-writes the CLI's CSV unchanged, and a CLI error passes through (its JSON on
-stderr, its exit code).
+writes the CLI's CSV unchanged, before the summary (a path it cannot write
+exits 1 with one line on stderr and nothing on stdout), and a CLI error
+passes through (its JSON on stderr, its exit code).
 
 Example:
     python3 scripts/density_scan.py --q 3/2 --bound 30 --out scan.csv
@@ -39,6 +40,13 @@ def main() -> int:
     if code:
         return code
     text = captured.getvalue()
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"--out: cannot write {args.out!r}: {exc.strerror}", file=sys.stderr)
+            return 1
     *table, manifest = text.splitlines()
     rows = list(csv.DictReader(table))
     complete = manifest.startswith("# manifest: complete")
@@ -56,8 +64,6 @@ def main() -> int:
         print("0 distinct elasticities")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
         print(f"wrote {args.out}")
     return 0
 

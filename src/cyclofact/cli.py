@@ -157,9 +157,12 @@ def _cmd_factorize(args) -> dict:
 def _cmd_lengths(args) -> dict:
     base = _element_base(args)
     try:
-        stats = length_stats(base, args.value, want_full_set=args.enumerate, cap=args.oracle_cap)
+        stats = length_stats(base, args.value)
     except NotInMonoidError as exc:
         raise NotInMonoidError(f"--value: {exc}") from None
+    # The cap bounds the listed set; a slice, as len() overflows past 2^63 lengths.
+    if args.enumerate and stats.length_set[args.oracle_cap:]:
+        raise OracleBudgetExceeded()
     doc = {
         "q": str(base),
         "value": format_rat(args.value),
@@ -167,8 +170,8 @@ def _cmd_lengths(args) -> dict:
         "max_length": stats.max_len,
         "elasticity": format_rat(stats.elasticity),
     }
-    if stats.length_set is not None:
-        doc["length_set"] = stats.length_set
+    if args.enumerate:
+        doc["length_set"] = list(stats.length_set)
     doc["min_factorization"] = stats.min_factorization.to_pairs()
     return doc
 

@@ -57,10 +57,6 @@ MATERIALIZE_CAP = 2_000
 class ScanCapExceeded(RuntimeError):
     """A bounded scan ran out before the construction could complete."""
 
-    def __init__(self, message: str, partial_log: list | None = None):
-        super().__init__(message)
-        self.partial_log = partial_log or []
-
 
 # ---------------------------------------------------------------------------
 # Forced atoms
@@ -115,7 +111,9 @@ def forced_atom_shift(base: RationalBase, presentation: NatPoly, shifts: int) ->
     and the numerator over b^(n+jg) is v b^(gj) + sum_(i=0..j) a^(n+ig)
     b^(g(j-i)) = v b^(gj) + a^n (a^(g(j+1)) - b^(g(j+1))) / (a^g - b^g).
     Every path leaves n on the last forced exponent (the degree, with none),
-    and the element is built over b^n.
+    and the element is built over b^n.  The presentation is built once at
+    the end: each forced exponent exceeds the degree before it, so each
+    adds a new term with coefficient 1.
     """
     if base.is_integer:
         raise ValueError("forced atoms require a non-integer base (q not an algebraic integer)")
@@ -124,10 +122,9 @@ def forced_atom_shift(base: RationalBase, presentation: NatPoly, shifts: int) ->
     if shifts < 0:
         raise ValueError("shift count must be nonnegative")
     a, b = base.a, base.b
-    terms = presentation.terms
     forced: list[int] = []
     n = presentation.degree()
-    v = sum(c * a**i * b ** (n - i) for i, c in terms.items())
+    v = sum(c * a**i * b ** (n - i) for i, c in presentation.items())
     an = a**n
     g = _settled_gap(a, b)
     for left in reversed(range(shifts)):
@@ -138,15 +135,13 @@ def forced_atom_shift(base: RationalBase, presentation: NatPoly, shifts: int) ->
         # The gap just taken is g (never, when g is None): the rest are settled.
         if g and forced and n - forced[-1] == g:
             ag, bg = a**g, b**g
-            settled = range(n, n + left * g + 1, g)
-            terms.update(dict.fromkeys(settled, 1))
-            forced.extend(settled)
+            forced.extend(range(n, n + left * g + 1, g))
             v = v * bg**left + an * ((ag ** (left + 1) - bg ** (left + 1)) // (ag - bg))
             n += left * g
             break
-        terms[n] = terms.get(n, 0) + 1
         v += an
         forced.append(n)
+    terms = {**presentation.terms, **dict.fromkeys(forced, 1)}
     return ForcedShift(Fraction(v, b**n), NatPoly(terms), tuple(forced))
 
 
@@ -239,8 +234,8 @@ def construct_elasticity(
 ) -> ElasticityCertificate:
     """Build an element with elasticity exactly target = s/t >= 1 (module docstring).
 
-    Raises ValueError for a target below 1, and ScanCapExceeded (with the
-    partial residue table) if no candidate within scan_cap is selected.
+    Raises ValueError for a target below 1, and ScanCapExceeded, a message
+    alone, if no candidate within scan_cap is selected.
     """
     if base.is_integer:
         raise ValueError("the construction requires a non-integer base q = a/b, b >= 2")
@@ -262,8 +257,7 @@ def construct_elasticity(
     else:
         raise ScanCapExceeded(
             f"no base element with (s-t) | tL - s*ell found within scan cap "
-            f"{scan_cap} for target {s}/{t} at q={base}",
-            partial_log=log,
+            f"{scan_cap} for target {s}/{t} at q={base}"
         )
     log.append({"step": "select", **fields, "residue": 0, "element": str(n), "shift_count": c})
 

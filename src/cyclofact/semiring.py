@@ -344,31 +344,25 @@ def iter_factorizations(
 
 class LengthStats(NamedTuple):
     """Min/max factorization lengths, their ratio, the up normal form of x
-    and, when requested, the length set {min, min + (a-b), ..., max}."""
+    and the length set {min, min + (a-b), ..., max}, a range of O(1) size."""
 
     min_len: int
     max_len: int
     min_factorization: NatPoly
-    length_set: Optional[tuple[int, ...]] = None
+    length_set: range
 
     @property
     def elasticity(self) -> Fraction:
         return Fraction(self.max_len, self.min_len)
 
 
-def length_stats(
-    base: RationalBase,
-    x: Fraction,
-    want_full_set: bool = False,
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> LengthStats:
+def length_stats(base: RationalBase, x: Fraction) -> LengthStats:
     """Length statistics of a nonzero element x.
 
     min comes from the membership witness, which is already the up normal
-    form, max from its down normal form.  The full length set (when
-    requested) is the progression between them with step a-b, proved in the
-    module docstring; it raises OracleBudgetExceeded when that is more than
-    cap lengths, so cap bounds the output.
+    form, max from its down normal form.  The length set is the progression
+    between them with step a-b, proved in the module docstring; it is a
+    range, so its size costs nothing until a caller lists it.
     """
     x = Fraction(x)
     if x <= 0:
@@ -378,13 +372,7 @@ def length_stats(
         raise NotInMonoidError(f"{x} is not an element of the monoid at q={base}")
     min_len = minimum.length()
     max_len = down_normal_form(base, minimum).length()
-    lengths: Optional[tuple[int, ...]] = None
-    if want_full_set:
-        gap = base.a - base.b
-        if (max_len - min_len) // gap + 1 > cap:
-            raise OracleBudgetExceeded()
-        lengths = tuple(range(min_len, max_len + 1, gap))
-    return LengthStats(min_len, max_len, minimum, lengths)
+    return LengthStats(min_len, max_len, minimum, range(min_len, max_len + 1, base.a - base.b))
 
 
 def enumerate_length_set(
@@ -392,7 +380,9 @@ def enumerate_length_set(
 ) -> set[int]:
     """The length set of x: {0} for x = 0, empty for a non-member.
 
-    The set is length_stats's progression and spends the same budget.
+    The set is length_stats's progression; OracleBudgetExceeded when it
+    holds more than cap lengths, so cap bounds the output.  The check slices
+    the range, as len() overflows past 2^63 lengths.
     """
     x = Fraction(x)
     if x < 0:
@@ -400,6 +390,9 @@ def enumerate_length_set(
     if x == 0:
         return {0}
     try:
-        return set(length_stats(base, x, want_full_set=True, cap=cap).length_set)
+        lengths = length_stats(base, x).length_set
     except NotInMonoidError:
         return set()
+    if lengths[cap:]:
+        raise OracleBudgetExceeded()
+    return set(lengths)

@@ -488,6 +488,15 @@ def test_density_script_writes_the_cli_csv(capsys, tmp_path, monkeypatch):
         assert code == EXIT_DOMAIN_ERROR
 
 
+def test_density_script_reports_an_unwritable_out_path(capsys, tmp_path, monkeypatch):
+    # The file is written before the summary: a path it cannot write prints
+    # one line on stderr, nothing on stdout, and exits 1.
+    path = tmp_path / "missing" / "scan.csv"
+    code, out, err = run_script(capsys, monkeypatch, "density_scan.py", "--q", "3/2", "--bound", "6", "--out", str(path))
+    assert (code, out) == (EXIT_DOMAIN_ERROR, "")
+    assert err == f"--out: cannot write {str(path)!r}: No such file or directory\n"  # no traceback
+
+
 def test_grid_script_matches_the_cli_certificates(capsys, monkeypatch):
     code, out, _ = run_script(capsys, monkeypatch, "full_elasticity_grid.py", "--smax", "5", "--bases", "3/2")
     assert code == EXIT_OK
